@@ -1,6 +1,6 @@
 // µ — google-benchmark micro-benchmarks for the engine and runtime hot
 // paths: the combiner map, message exchange, interpreter dispatch, and
-// Δ-message synthesis. These quantify the constant factors behind the
+// Δ-message synthesis, and the snapshot codec. These quantify the constant factors behind the
 // Figure-4 "Pregel+ is always faster than ΔV*" observation, and — via the
 // */tree vs */vm pairs — the interpretation tax the bytecode tier removes.
 #include <benchmark/benchmark.h>
@@ -9,10 +9,12 @@
 #include "common/rng.h"
 #include "dv/compiler.h"
 #include "dv/obs/obs.h"
+#include "dv/persist/snapshot.h"
 #include "dv/programs/programs.h"
 #include "dv/runtime/delta.h"
 #include "dv/runtime/runner.h"
 #include "dv/runtime/vm.h"
+#include "dv/streaming/stream_session.h"
 #include "graph/generators.h"
 #include "pregel/engine.h"
 
@@ -426,6 +428,46 @@ void BM_HandwrittenPageRank(benchmark::State& state) {
                           30 * 4096);
 }
 BENCHMARK(BM_HandwrittenPageRank);
+
+// ---- snapshot codec ----------------------------------------------------
+//
+// The persist layer priced outside the end-to-end run: the CRC-32 every
+// snapshot byte passes through once per side, and a whole save + restore
+// of a converged session (encode, both CRC sides, decode, rebuild). Both
+// report snapshot bytes per second.
+
+void BM_SnapshotCrc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> buf(n);
+  Rng rng(13);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(dv::persist::crc32(buf.data(), buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SnapshotCrc32)->Arg(1 << 20)->Arg(16 << 20);
+
+void BM_SnapshotRoundTrip(benchmark::State& state) {
+  const auto cp = dv::compile(dv::programs::kPageRank, {});
+  dv::streaming::SessionOptions o;
+  o.run.engine.num_workers = 1;
+  o.run.params = {{"steps", dv::Value::of_int(29)}};
+  const auto s =
+      dv::streaming::make_stream_session(cp, graph::rmat(4096, 32768, 11), o);
+  s->converge();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::vector<std::uint8_t> snap = s->save_bytes();
+    bytes = snap.size();
+    benchmark::DoNotOptimize(
+        dv::streaming::DvStreamSession::restore_bytes(cp, std::move(snap),
+                                                      o));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotRoundTrip);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "dv/persist/snapshot.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cerrno>
@@ -17,15 +18,59 @@ namespace {
 constexpr std::array<std::uint8_t, 8> kMagic = {'D', 'V', 'S', 'N',
                                                 'A', 'P', '0', '1'};
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+constexpr std::uint32_t kCrcPoly = 0xedb88320u;  // IEEE 802.3, reflected
+
+// Slicing-by-16: table[0] is the classic bytewise table; table[k][b] is
+// the CRC of byte b followed by k zero bytes, so one step folds 16 input
+// bytes with 16 independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? kCrcPoly ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
   return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// a·b mod P over GF(2) in the reflected bit order, where bit 31 is x^0.
+std::uint32_t gf2_mul(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t p = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if (a & m) p ^= b;
+    b = (b & 1) ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return p;
+}
+
+// x^(8n) mod P: the operator that appends n zero bytes to a CRC register.
+std::uint32_t x_pow_8n(std::uint64_t n) {
+  std::uint32_t result = 1u << 31;  // x^0
+  std::uint32_t square = 1u << 23;  // x^8, then x^16, x^32, ...
+  for (; n != 0; n >>= 1) {
+    if (n & 1) result = gf2_mul(square, result);
+    square = gf2_mul(square, square);
+  }
+  return result;
+}
+
+std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
 std::string tag_name(std::uint32_t tag) {
@@ -37,31 +82,76 @@ std::string tag_name(std::uint32_t tag) {
   return s;
 }
 
+template <typename T>
+void put_vec(SnapshotWriter& w, const std::vector<T>& v) {
+  std::uint8_t* const p = w.put_records(v.size(), sizeof(T));
+  if (!v.empty()) std::memcpy(p, v.data(), v.size() * sizeof(T));
+}
+
+template <typename T>
+std::vector<T> get_vec(SnapshotReader& r) {
+  const SnapshotReader::Records rec = r.get_records(sizeof(T));
+  std::vector<T> v(rec.count);
+  if (rec.count != 0) std::memcpy(v.data(), rec.data, rec.count * sizeof(T));
+  return v;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = seed ^ 0xffffffffu;
-  for (std::size_t i = 0; i < len; ++i)
-    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  for (; len >= 16; data += 16, len -= 16) {
+    std::uint32_t w[4];
+    std::memcpy(w, data, sizeof w);
+    w[0] ^= c;
+    c = t[15][w[0] & 0xffu] ^ t[14][(w[0] >> 8) & 0xffu] ^
+        t[13][(w[0] >> 16) & 0xffu] ^ t[12][w[0] >> 24] ^
+        t[11][w[1] & 0xffu] ^ t[10][(w[1] >> 8) & 0xffu] ^
+        t[9][(w[1] >> 16) & 0xffu] ^ t[8][w[1] >> 24] ^
+        t[7][w[2] & 0xffu] ^ t[6][(w[2] >> 8) & 0xffu] ^
+        t[5][(w[2] >> 16) & 0xffu] ^ t[4][w[2] >> 24] ^
+        t[3][w[3] & 0xffu] ^ t[2][(w[3] >> 8) & 0xffu] ^
+        t[1][(w[3] >> 16) & 0xffu] ^ t[0][w[3] >> 24];
+  }
+  for (; len != 0; ++data, --len) c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  // The CRC register is linear over GF(2): running B's bytes through a
+  // register holding crc(A) gives crc(B) plus crc(A) shifted by |B| zero
+  // bytes. The pre/post inversions cancel because they are equal.
+  return gf2_mul(x_pow_8n(len_b), crc_a) ^ crc_b;
 }
 
 // ---------------------------------------------------------------- writer
 
-SnapshotWriter::SnapshotWriter() {
+SnapshotWriter::SnapshotWriter(std::size_t expected_bytes) {
+  buf_.reserve(std::max(expected_bytes, kMagic.size()));
   buf_.assign(kMagic.begin(), kMagic.end());
+  body_crc_ = crc32(buf_.data(), buf_.size());
+}
+
+std::uint8_t* SnapshotWriter::grow(std::size_t n) {
+  const std::size_t at = buf_.size();
+  // Geometric growth that also leaves headroom after a block larger than
+  // everything before it (the stats history), so the few words written
+  // after such a block do not copy it into a buffer twice its size.
+  if (buf_.capacity() - at < n)
+    buf_.reserve(std::max(2 * buf_.capacity(), at + n + (at + n) / 8));
+  buf_.resize(at + n);
+  return buf_.data() + at;
 }
 
 void SnapshotWriter::raw_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+  std::memcpy(grow(sizeof v), &v, sizeof v);
 }
 
 void SnapshotWriter::raw_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+  std::memcpy(grow(sizeof v), &v, sizeof v);
 }
 
 void SnapshotWriter::begin_section(std::uint32_t tag) {
@@ -74,14 +164,18 @@ void SnapshotWriter::begin_section(std::uint32_t tag) {
 
 void SnapshotWriter::end_section() {
   DV_CHECK_MSG(in_section_, "end_section without begin_section");
+  deltav::Timer crc_timer;
   const std::size_t payload_off = section_start_ + 12;
   const std::uint64_t len = buf_.size() - payload_off;
-  for (int i = 0; i < 8; ++i)
-    buf_[section_start_ + 4 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((len >> (8 * i)) & 0xff);
-  const std::uint32_t crc =
-      crc32(buf_.data() + section_start_, buf_.size() - section_start_);
+  std::memcpy(buf_.data() + section_start_ + 4, &len, sizeof len);
+  const std::size_t frame_len = buf_.size() - section_start_;
+  const std::uint32_t crc = crc32(buf_.data() + section_start_, frame_len);
   raw_u32(crc);
+  // Extend the file CRC over the frame and its CRC word without a second
+  // pass over the payload.
+  body_crc_ = crc32(buf_.data() + buf_.size() - 4, 4,
+                    crc32_combine(body_crc_, crc, frame_len));
+  crc_seconds_ += crc_timer.elapsed_seconds();
   in_section_ = false;
 }
 
@@ -105,62 +199,62 @@ void SnapshotWriter::put_f64(double v) {
 }
 
 void SnapshotWriter::put_value(const Value& v) {
-  put_u8(static_cast<std::uint8_t>(v.type));
+  DV_CHECK_MSG(in_section_, "put outside a section");
   // The union's widest member: bools/ints round-trip through it exactly,
   // and float payloads keep their bit pattern (NaNs, -0.0).
+  std::uint64_t bits;
   switch (v.type) {
-    case Type::kBool: put_u64(v.b ? 1 : 0); break;
-    case Type::kFloat: put_u64(std::bit_cast<std::uint64_t>(v.f)); break;
-    default: put_u64(static_cast<std::uint64_t>(v.i)); break;
+    case Type::kBool: bits = v.b ? 1 : 0; break;
+    case Type::kFloat: bits = std::bit_cast<std::uint64_t>(v.f); break;
+    default: bits = static_cast<std::uint64_t>(v.i); break;
   }
+  std::uint8_t* const p = grow(1 + sizeof bits);
+  p[0] = static_cast<std::uint8_t>(v.type);
+  std::memcpy(p + 1, &bits, sizeof bits);
 }
 
 void SnapshotWriter::put_string(const std::string& s) {
-  put_u64(s.size());
-  DV_CHECK_MSG(in_section_, "put outside a section");
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  std::uint8_t* const p = put_records(s.size(), 1);
+  if (!s.empty()) std::memcpy(p, s.data(), s.size());
+}
+
+std::uint8_t* SnapshotWriter::put_records(std::size_t count,
+                                          std::size_t record_bytes) {
+  put_u64(count);
+  return grow(count * record_bytes);
 }
 
 void SnapshotWriter::put_u8_vec(const std::vector<std::uint8_t>& v) {
-  put_u64(v.size());
-  DV_CHECK_MSG(in_section_, "put outside a section");
-  buf_.insert(buf_.end(), v.begin(), v.end());
+  put_vec(*this, v);
 }
 
 void SnapshotWriter::put_u32_vec(const std::vector<std::uint32_t>& v) {
-  put_u64(v.size());
-  for (const std::uint32_t x : v) raw_u32(x);
+  put_vec(*this, v);
 }
 
 void SnapshotWriter::put_u64_vec(const std::vector<std::uint64_t>& v) {
-  put_u64(v.size());
-  for (const std::uint64_t x : v) raw_u64(x);
+  put_vec(*this, v);
 }
 
 void SnapshotWriter::put_i32_vec(const std::vector<std::int32_t>& v) {
-  put_u64(v.size());
-  for (const std::int32_t x : v) raw_u32(static_cast<std::uint32_t>(x));
+  put_vec(*this, v);
 }
 
 void SnapshotWriter::put_f64_vec(const std::vector<double>& v) {
-  put_u64(v.size());
-  for (const double x : v) raw_u64(std::bit_cast<std::uint64_t>(x));
+  put_vec(*this, v);
 }
 
 void SnapshotWriter::finish() {
   DV_CHECK_MSG(!in_section_ && !finished_, "finish misuse");
-  obs::Collector* const col = obs::current();
-  deltav::Timer crc_timer;
   const std::uint64_t body = buf_.size();
-  const std::uint32_t file_crc = crc32(buf_.data(), buf_.size());
+  const std::uint32_t file_crc = body_crc_;
   begin_section(kSecEnd);
   put_u64(body);
   put_u32(file_crc);
   end_section();
   finished_ = true;
-  if (col) {
-    col->metrics.observe("persist.crc_seconds",
-                         crc_timer.elapsed_seconds());
+  if (obs::Collector* const col = obs::current()) {
+    col->metrics.observe("persist.crc_seconds", crc_seconds_);
     col->metrics.shard(0).add(obs::Counter::kSnapshotBytesWritten,
                               buf_.size());
   }
@@ -198,58 +292,42 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> bytes)
     throw SnapshotError("not a DVSNAP01 snapshot (bad magic)");
 
   // Walk and verify every frame; the end marker must be the final frame
-  // and must account for every byte before it.
+  // and must account for every byte before it. The file CRC of the bytes
+  // walked so far is extended frame by frame from the section CRCs, so
+  // the end marker's check equals a full second pass without making one.
   std::size_t off = kMagic.size();
+  std::uint32_t body_crc = crc32(buf_.data(), off);
   bool saw_end = false;
   while (off < buf_.size()) {
     if (saw_end)
       throw SnapshotError("trailing bytes after the end section");
     if (buf_.size() - off < 16)
       throw SnapshotError("truncated snapshot: section header cut short");
-    std::uint32_t tag = 0;
-    for (int i = 0; i < 4; ++i)
-      tag |= static_cast<std::uint32_t>(buf_[off + static_cast<std::size_t>(i)])
-             << (8 * i);
-    std::uint64_t len = 0;
-    for (int i = 0; i < 8; ++i)
-      len |= static_cast<std::uint64_t>(
-                 buf_[off + 4 + static_cast<std::size_t>(i)])
-             << (8 * i);
+    const std::uint32_t tag = load_u32(buf_.data() + off);
+    const std::uint64_t len = load_u64(buf_.data() + off + 4);
     if (len > buf_.size() - off - 16)
       throw SnapshotError("truncated snapshot: section '" + tag_name(tag) +
                           "' payload cut short");
     const std::size_t payload_off = off + 12;
     const std::size_t frame_len = 12 + static_cast<std::size_t>(len);
     const std::uint32_t want = crc32(buf_.data() + off, frame_len);
-    std::uint32_t got = 0;
-    for (int i = 0; i < 4; ++i)
-      got |= static_cast<std::uint32_t>(
-                 buf_[off + frame_len + static_cast<std::size_t>(i)])
-             << (8 * i);
-    if (want != got)
+    const std::uint8_t* const crc_word = buf_.data() + off + frame_len;
+    if (want != load_u32(crc_word))
       throw SnapshotError("corrupted snapshot: CRC mismatch in section '" +
                           tag_name(tag) + "'");
     if (tag == kSecEnd) {
       if (len != 12)
         throw SnapshotError("corrupted snapshot: malformed end section");
-      std::uint64_t body = 0;
-      for (int i = 0; i < 8; ++i)
-        body |= static_cast<std::uint64_t>(
-                    buf_[payload_off + static_cast<std::size_t>(i)])
-                << (8 * i);
-      std::uint32_t file_crc = 0;
-      for (int i = 0; i < 4; ++i)
-        file_crc |= static_cast<std::uint32_t>(
-                        buf_[payload_off + 8 + static_cast<std::size_t>(i)])
-                    << (8 * i);
-      if (body != off)
+      if (load_u64(buf_.data() + payload_off) != off)
         throw SnapshotError("corrupted snapshot: end section size mismatch");
-      if (crc32(buf_.data(), off) != file_crc)
+      if (load_u32(buf_.data() + payload_off + 8) != body_crc)
         throw SnapshotError("corrupted snapshot: file CRC mismatch");
       saw_end = true;
     } else {
       sections_.push_back(
           Section{tag, payload_off, static_cast<std::size_t>(len)});
+      body_crc =
+          crc32(crc_word, 4, crc32_combine(body_crc, want, frame_len));
     }
     off += frame_len + 4;
   }
@@ -308,17 +386,15 @@ std::uint8_t SnapshotReader::get_u8() {
 
 std::uint32_t SnapshotReader::get_u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(buf_[cur_++]) << (8 * i);
+  const std::uint32_t v = load_u32(buf_.data() + cur_);
+  cur_ += 4;
   return v;
 }
 
 std::uint64_t SnapshotReader::get_u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(buf_[cur_++]) << (8 * i);
+  const std::uint64_t v = load_u64(buf_.data() + cur_);
+  cur_ += 8;
   return v;
 }
 
@@ -327,8 +403,10 @@ double SnapshotReader::get_f64() {
 }
 
 Value SnapshotReader::get_value() {
-  const std::uint8_t t = get_u8();
-  const std::uint64_t bits = get_u64();
+  need(9);
+  const std::uint8_t t = buf_[cur_];
+  const std::uint64_t bits = load_u64(buf_.data() + cur_ + 1);
+  cur_ += 9;
   switch (t) {
     case static_cast<std::uint8_t>(Type::kInt):
       return Value::of_int(static_cast<std::int64_t>(bits));
@@ -343,12 +421,8 @@ Value SnapshotReader::get_value() {
 }
 
 std::string SnapshotReader::get_string() {
-  const std::uint64_t n = get_u64();
-  need(static_cast<std::size_t>(n));
-  std::string s(reinterpret_cast<const char*>(buf_.data() + cur_),
-                static_cast<std::size_t>(n));
-  cur_ += static_cast<std::size_t>(n);
-  return s;
+  const Records rec = get_records(1);
+  return std::string(reinterpret_cast<const char*>(rec.data), rec.count);
 }
 
 std::size_t SnapshotReader::vec_len(std::size_t elem_bytes) {
@@ -364,37 +438,32 @@ std::size_t SnapshotReader::vec_len(std::size_t elem_bytes) {
   return static_cast<std::size_t>(n);
 }
 
+SnapshotReader::Records SnapshotReader::get_records(
+    std::size_t record_bytes) {
+  const std::size_t n = vec_len(record_bytes);
+  const Records rec{buf_.data() + cur_, n};
+  cur_ += n * record_bytes;
+  return rec;
+}
+
 std::vector<std::uint8_t> SnapshotReader::get_u8_vec() {
-  const std::size_t n = vec_len(1);
-  std::vector<std::uint8_t> v(buf_.begin() + static_cast<std::ptrdiff_t>(cur_),
-                              buf_.begin() +
-                                  static_cast<std::ptrdiff_t>(cur_ + n));
-  cur_ += n;
-  return v;
+  return get_vec<std::uint8_t>(*this);
 }
 
 std::vector<std::uint32_t> SnapshotReader::get_u32_vec() {
-  std::vector<std::uint32_t> v(vec_len(4));
-  for (auto& x : v) x = get_u32();
-  return v;
+  return get_vec<std::uint32_t>(*this);
 }
 
 std::vector<std::uint64_t> SnapshotReader::get_u64_vec() {
-  std::vector<std::uint64_t> v(vec_len(8));
-  for (auto& x : v) x = get_u64();
-  return v;
+  return get_vec<std::uint64_t>(*this);
 }
 
 std::vector<std::int32_t> SnapshotReader::get_i32_vec() {
-  std::vector<std::int32_t> v(vec_len(4));
-  for (auto& x : v) x = get_i32();
-  return v;
+  return get_vec<std::int32_t>(*this);
 }
 
 std::vector<double> SnapshotReader::get_f64_vec() {
-  std::vector<double> v(vec_len(8));
-  for (auto& x : v) x = get_f64();
-  return v;
+  return get_vec<double>(*this);
 }
 
 void SnapshotReader::finish() const {
@@ -409,7 +478,14 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
   if (!f)
     throw SnapshotError("cannot open snapshot '" + path +
                         "': " + std::strerror(errno));
-  std::vector<std::uint8_t> buf;
+  // One read sized from the file length; a stream whose length cannot be
+  // probed (or a file that grew since) still arrives through the chunked
+  // tail loop below.
+  long size = 0;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::max(std::ftell(f), 0L);
+  std::rewind(f);
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(size));
+  if (!buf.empty()) buf.resize(std::fread(buf.data(), 1, buf.size(), f));
   std::array<std::uint8_t, 1 << 16> chunk;
   std::size_t n;
   while ((n = std::fread(chunk.data(), 1, chunk.size(), f)) > 0)

@@ -13,17 +13,25 @@
 // still breaks the file CRC. Restore therefore fails loudly on any torn
 // or corrupted snapshot; it can never silently decode garbage.
 //
-// All integers are little-endian, written byte by byte; Values are
-// serialized as a 1-byte type tag plus their 8-byte payload bit pattern —
-// never as raw structs, whose padding bytes would make the checksum
-// nondeterministic.
+// All integers are little-endian. The codec targets little-endian hosts
+// only (a static_assert enforces it), so a word or a whole scalar vector
+// is one memcpy; Values are still serialized field by field, as a 1-byte
+// type tag plus their 8-byte payload bit pattern — never as raw structs,
+// whose padding bytes would make the checksum nondeterministic.
+//
+// Each byte is checksummed once per side: the file CRC is not a second
+// pass over the body but is folded together from the section CRCs with
+// crc32_combine, which yields exactly the value a direct pass would.
 //
 // SnapshotWriter buffers in memory (fault-injection tests corrupt the
-// buffer directly) and write_file() lands atomically via tmp + rename, so
-// a crash mid-write can tear the tmp file but never the target path.
+// buffer directly) and write_file() lands via tmp + rename without fsync,
+// so a process crash mid-write can tear the tmp file but never the target
+// path (a power loss may lose both).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,6 +39,10 @@
 #include "dv/runtime/value.h"
 
 namespace deltav::dv::persist {
+
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot codec copies words in host order, which must "
+              "be the little-endian file order");
 
 /// Any snapshot problem: framing/CRC damage, version or section mismatch,
 /// or decoded state inconsistent with the restoring program/options. The
@@ -45,6 +57,32 @@ class SnapshotError : public std::runtime_error {
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t seed = 0);
 
+/// crc32(A‖B) from crc32(A), crc32(B) and |B|, without touching the bytes.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
+
+/// Little-endian word access through a cursor that advances past the
+/// word, for filling a put_records() block or decoding a get_records()
+/// one.
+namespace le {
+inline void put_u64(std::uint8_t*& p, std::uint64_t v) {
+  std::memcpy(p, &v, sizeof v);
+  p += sizeof v;
+}
+inline void put_f64(std::uint8_t*& p, double v) {
+  put_u64(p, std::bit_cast<std::uint64_t>(v));
+}
+inline std::uint64_t get_u64(const std::uint8_t*& p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  p += sizeof v;
+  return v;
+}
+inline double get_f64(const std::uint8_t*& p) {
+  return std::bit_cast<double>(get_u64(p));
+}
+}  // namespace le
+
 /// Section tags of the session snapshot layout, in their fixed file order.
 inline constexpr std::uint32_t kSecMeta = 0x4154454d;    // "META"
 inline constexpr std::uint32_t kSecGraph = 0x48505247;   // "GRPH"
@@ -55,7 +93,9 @@ inline constexpr std::uint32_t kSecEnd = 0x21444e45;     // "END!"
 
 class SnapshotWriter {
  public:
-  SnapshotWriter();
+  /// `expected_bytes` pre-sizes the buffer (e.g. the previous snapshot's
+  /// size), so a large save grows it rarely or never.
+  explicit SnapshotWriter(std::size_t expected_bytes = 0);
 
   void begin_section(std::uint32_t tag);
   void end_section();
@@ -76,6 +116,11 @@ class SnapshotWriter {
   void put_i32_vec(const std::vector<std::int32_t>& v);
   void put_f64_vec(const std::vector<double>& v);
 
+  /// Writes `count` as a u64 — the layout every put_*_vec uses — and
+  /// appends count × record_bytes payload bytes for the caller to fill
+  /// (see le::). The pointer is valid until the next put.
+  std::uint8_t* put_records(std::size_t count, std::size_t record_bytes);
+
   /// Writes the end section (size + file CRC). Call exactly once, after
   /// the last end_section(); the writer is sealed afterwards.
   void finish();
@@ -87,11 +132,14 @@ class SnapshotWriter {
   void write_file(const std::string& path) const;
 
  private:
+  std::uint8_t* grow(std::size_t n);  // appends n bytes to fill
   void raw_u32(std::uint32_t v);
   void raw_u64(std::uint64_t v);
 
   std::vector<std::uint8_t> buf_;
   std::size_t section_start_ = 0;  // offset of the open section's tag
+  std::uint32_t body_crc_ = 0;     // CRC of every byte so far (sealed frames)
+  double crc_seconds_ = 0;         // CRC time, observed once by finish()
   bool in_section_ = false;
   bool finished_ = false;
 };
@@ -127,6 +175,14 @@ class SnapshotReader {
   std::vector<std::uint64_t> get_u64_vec();
   std::vector<std::int32_t> get_i32_vec();
   std::vector<double> get_f64_vec();
+
+  /// A put_records() block: the count is checked against the rest of the
+  /// section once, before the caller decodes (see le::) or allocates.
+  struct Records {
+    const std::uint8_t* data;
+    std::size_t count;
+  };
+  Records get_records(std::size_t record_bytes);
 
   /// Requires every section (besides the end marker) to have been read.
   void finish() const;

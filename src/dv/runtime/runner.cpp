@@ -15,6 +15,10 @@ namespace deltav::dv {
 
 namespace {
 
+/// One SuperstepStats in the engine section: nine u64 counters, then three
+/// f64 timings.
+constexpr std::size_t kSuperstepRecordBytes = 12 * 8;
+
 /// Adapts the engine's per-vertex send API to the interpreter's SendSink,
 /// optionally teeing every message into the debug probe. When the runner
 /// routes sites through the lock-free fold path, this sink is also the
@@ -719,20 +723,24 @@ class DvRunner::Impl {
         w.put_u8(m.wire);
       }
     }
-    w.put_u64(c.stats.supersteps.size());
-    for (const pregel::SuperstepStats& ss : c.stats.supersteps) {
-      w.put_u64(ss.messages_sent);
-      w.put_u64(ss.messages_delivered);
-      w.put_u64(ss.messages_dropped);
-      w.put_u64(ss.bytes_sent);
-      w.put_u64(ss.bytes_delivered);
-      w.put_u64(ss.cross_machine_bytes);
-      w.put_u64(ss.active_vertices);
-      w.put_u64(ss.vertices_halted);
-      w.put_u64(ss.vertices_woken);
-      w.put_f64(ss.compute_seconds);
-      w.put_f64(ss.exchange_seconds);
-      w.put_f64(ss.sim_comm_seconds);
+    // The stats history (most of a long stream's snapshot) goes straight
+    // from the engine, one fixed-size record per superstep.
+    const auto& history = engine_->stats().supersteps;
+    std::uint8_t* p =
+        w.put_records(history.size(), kSuperstepRecordBytes);
+    for (const pregel::SuperstepStats& ss : history) {
+      persist::le::put_u64(p, ss.messages_sent);
+      persist::le::put_u64(p, ss.messages_delivered);
+      persist::le::put_u64(p, ss.messages_dropped);
+      persist::le::put_u64(p, ss.bytes_sent);
+      persist::le::put_u64(p, ss.bytes_delivered);
+      persist::le::put_u64(p, ss.cross_machine_bytes);
+      persist::le::put_u64(p, ss.active_vertices);
+      persist::le::put_u64(p, ss.vertices_halted);
+      persist::le::put_u64(p, ss.vertices_woken);
+      persist::le::put_f64(p, ss.compute_seconds);
+      persist::le::put_f64(p, ss.exchange_seconds);
+      persist::le::put_f64(p, ss.sim_comm_seconds);
     }
     w.end_section();
 
@@ -823,22 +831,25 @@ class DvRunner::Impl {
         pend.emplace_back(dst, m);
       }
     }
-    const std::uint64_t num_ss = r.get_u64();
-    for (std::uint64_t i = 0; i < num_ss; ++i) {
-      pregel::SuperstepStats ss;
-      ss.messages_sent = r.get_u64();
-      ss.messages_delivered = r.get_u64();
-      ss.messages_dropped = r.get_u64();
-      ss.bytes_sent = r.get_u64();
-      ss.bytes_delivered = r.get_u64();
-      ss.cross_machine_bytes = r.get_u64();
-      ss.active_vertices = r.get_u64();
-      ss.vertices_halted = r.get_u64();
-      ss.vertices_woken = r.get_u64();
-      ss.compute_seconds = r.get_f64();
-      ss.exchange_seconds = r.get_f64();
-      ss.sim_comm_seconds = r.get_f64();
-      c.stats.supersteps.push_back(ss);
+    // get_records bounds the whole block before the history is sized.
+    const persist::SnapshotReader::Records rec =
+        r.get_records(kSuperstepRecordBytes);
+    pregel::RunStats history;
+    history.supersteps.resize(rec.count);
+    const std::uint8_t* p = rec.data;
+    for (pregel::SuperstepStats& ss : history.supersteps) {
+      ss.messages_sent = persist::le::get_u64(p);
+      ss.messages_delivered = persist::le::get_u64(p);
+      ss.messages_dropped = persist::le::get_u64(p);
+      ss.bytes_sent = persist::le::get_u64(p);
+      ss.bytes_delivered = persist::le::get_u64(p);
+      ss.cross_machine_bytes = persist::le::get_u64(p);
+      ss.active_vertices = persist::le::get_u64(p);
+      ss.vertices_halted = persist::le::get_u64(p);
+      ss.vertices_woken = persist::le::get_u64(p);
+      ss.compute_seconds = persist::le::get_f64(p);
+      ss.exchange_seconds = persist::le::get_f64(p);
+      ss.sim_comm_seconds = persist::le::get_f64(p);
     }
     r.close();
     for (std::uint32_t w = 0; w < W; ++w) {
@@ -847,7 +858,7 @@ class DvRunner::Impl {
       for (const auto& [dst, m] : c.pending[w])
         if (dst >= n) bad("pending message destination out of range");
     }
-    engine_->restore(c);
+    engine_->restore(std::move(c), std::move(history));
 
     r.open(persist::kSecRetract);
     const std::uint64_t snap_k = r.get_u64();

@@ -226,7 +226,8 @@ persist::SnapshotWriter DvStreamSession::build_snapshot() const {
   check_owner();
   obs::Scope obs_scope(obs::resolve(options_.run.collector),
                        "persist.save");
-  persist::SnapshotWriter w;
+  // An eighth of headroom absorbs the history growth since the last save.
+  persist::SnapshotWriter w(last_snapshot_bytes_ + last_snapshot_bytes_ / 8);
   w.begin_section(persist::kSecMeta);
   w.put_u32(kFormatVersion);
   w.put_u64(program_digest(*cp_));
@@ -248,6 +249,7 @@ persist::SnapshotWriter DvStreamSession::build_snapshot() const {
   persist::GraphCodec::write(dyn_, w);
   runner_->save_state(w);
   w.finish();
+  last_snapshot_bytes_ = w.bytes().size();
   return w;
 }
 

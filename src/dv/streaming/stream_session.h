@@ -181,6 +181,9 @@ class DvStreamSession {
   std::unique_ptr<DvRunner> runner_;
   std::size_t epoch_ = 0;
   bool converge_called_ = false;
+  /// Size of the last snapshot built, to pre-size the next one (the stats
+  /// history only grows, so the next is rarely smaller).
+  mutable std::size_t last_snapshot_bytes_ = 0;
   /// Owner thread for the debug affinity guard; default-constructed id
   /// means "not yet bound".
   mutable std::atomic<std::thread::id> owner_{};

@@ -558,7 +558,9 @@ class Engine {
   /// work queues (their order IS the kWorkQueue compute order, which fixes
   /// message emission order — a bit-exact restore must reproduce it
   /// verbatim), the pending inboxes (per worker, in per-vertex delivery
-  /// order), the superstep counter, and the stats history.
+  /// order), and the superstep counter. The stats history also carries
+  /// across, but it is not copied in here: a saver reads it in place
+  /// through stats(), and restore() takes it by move.
   struct Checkpoint {
     std::size_t num_vertices = 0;
     std::size_t superstep = 0;
@@ -570,7 +572,6 @@ class Engine {
     /// by destination in owner iteration order, each group in delivery
     /// order.
     std::vector<std::vector<std::pair<VertexId, Message>>> pending;
-    RunStats stats;
   };
 
   /// Captures the engine state between supersteps.
@@ -584,7 +585,6 @@ class Engine {
     c.superstep = superstep_;
     c.halted = halted_;
     c.deleted = deleted_;
-    c.stats = stats_;
     const auto W = static_cast<std::size_t>(options_.num_workers);
     c.queues.resize(W);
     c.pending.resize(W);
@@ -608,8 +608,9 @@ class Engine {
   /// bit-exact continuation is only defined under identical configuration,
   /// since the partition fixes message routing and delivery order.
   /// scheduled_ and unhalted are derived, not stored: they are recomputed
-  /// from the queues and flags.
-  void restore(const Checkpoint& c) {
+  /// from the queues and flags. `stats` is the history as of the
+  /// checkpoint.
+  void restore(Checkpoint&& c, RunStats&& stats) {
     DV_CHECK_MSG(c.num_vertices == partition_.num_vertices(),
                  "checkpoint |V| mismatch");
     DV_CHECK_MSG(c.halted.size() == c.num_vertices &&
@@ -618,14 +619,14 @@ class Engine {
     const auto W = static_cast<std::size_t>(options_.num_workers);
     DV_CHECK_MSG(c.queues.size() == W && c.pending.size() == W,
                  "checkpoint worker count mismatch");
-    halted_ = c.halted;
-    deleted_ = c.deleted;
+    halted_ = std::move(c.halted);
+    deleted_ = std::move(c.deleted);
     std::fill(scheduled_.begin(), scheduled_.end(), std::uint8_t{0});
     superstep_ = c.superstep;
-    stats_ = c.stats;
+    stats_ = std::move(stats);
     for (std::size_t w = 0; w < W; ++w) {
       auto& ws = workers_[w];
-      ws.queue = c.queues[w];
+      ws.queue = std::move(c.queues[w]);
       ws.next_queue.clear();
       DV_CHECK_MSG(ws.queue.empty() ||
                        options_.schedule == ScheduleMode::kWorkQueue,

@@ -12,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -438,12 +442,230 @@ TEST(PersistFault, MismatchedEngineConfigRejected) {
                dv::persist::SnapshotError);
 }
 
+/// Recomputes every frame CRC and the end marker's file CRC, so a test can
+/// plant a payload inconsistency that the checksums no longer catch.
+void reseal(std::vector<std::uint8_t>& b) {
+  std::size_t off = 8;  // past the magic
+  while (off < b.size()) {
+    std::uint32_t tag;
+    std::uint64_t len;
+    std::memcpy(&tag, b.data() + off, 4);
+    std::memcpy(&len, b.data() + off + 4, 8);
+    const std::size_t frame = 12 + static_cast<std::size_t>(len);
+    if (tag == dv::persist::kSecEnd) {
+      const std::uint32_t file_crc = dv::persist::crc32(b.data(), off);
+      std::memcpy(b.data() + off + 12 + 8, &file_crc, 4);
+    }
+    const std::uint32_t crc = dv::persist::crc32(b.data() + off, frame);
+    std::memcpy(b.data() + off + frame, &crc, 4);
+    off += frame + 4;
+  }
+}
+
+/// Offset one past the payload of the section tagged `tag`.
+std::size_t section_end(const std::vector<std::uint8_t>& b,
+                        std::uint32_t tag) {
+  std::size_t off = 8;
+  while (off < b.size()) {
+    std::uint32_t t;
+    std::uint64_t len;
+    std::memcpy(&t, b.data() + off, 4);
+    std::memcpy(&len, b.data() + off + 4, 8);
+    if (t == tag) return off + 12 + static_cast<std::size_t>(len);
+    off += 16 + static_cast<std::size_t>(len);
+  }
+  ADD_FAILURE() << "section not found";
+  return 0;
+}
+
+TEST(PersistFault, StatsHistoryOverrunRejected) {
+  // The engine section ends with the per-superstep stats history: a u64
+  // count, then 96 bytes per superstep. A count far past the section end
+  // (its byte size even wraps 64 bits) must be refused by name before
+  // anything is sized from it — a bad_alloc or length_error here would
+  // mean the history was allocated first.
+  const auto cp = compile_dv(kFeedback);
+  const auto s = make_stream_session(cp, absorbing_graph(), session_opts());
+  s->converge();
+  std::vector<std::uint8_t> bytes = s->save_bytes();
+  const std::size_t steps = s->result().stats.supersteps.size();
+  ASSERT_GT(steps, 0u);
+  const std::size_t at =
+      section_end(bytes, dv::persist::kSecEngine) - steps * 96 - 8;
+  std::uint64_t count;
+  std::memcpy(&count, bytes.data() + at, 8);
+  ASSERT_EQ(count, steps) << "stats history not where the layout puts it";
+
+  reseal(bytes);  // control: resealing alone changes nothing
+  (void)DvStreamSession::restore_bytes(cp, bytes, session_opts());
+
+  count = std::uint64_t{1} << 59;
+  std::memcpy(bytes.data() + at, &count, 8);
+  reseal(bytes);
+  try {
+    (void)DvStreamSession::restore_bytes(cp, bytes, session_opts());
+    FAIL() << "overrunning stats history restored";
+  } catch (const dv::persist::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("'ENGN'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PersistFault, MissingFileThrows) {
   const auto cp = compile_dv(kOpCases[0].source);
   EXPECT_THROW((void)DvStreamSession::restore(
                    cp, ::testing::TempDir() + "dv_persist_nope.snap",
                    session_opts()),
                dv::persist::SnapshotError);
+}
+
+// ------------------------------------------- codec
+
+/// Bit-at-a-time CRC-32: the definition the table-driven code must match.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (c >> 1) ^ 0xedb88320u : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng());
+  return v;
+}
+
+TEST(PersistCodec, Crc32KnownAnswers) {
+  using dv::persist::crc32;
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size()),
+            0xcbf43926u);
+  // Every length around the 16-byte stride, at every alignment, from a
+  // zero and a running seed.
+  const std::vector<std::uint8_t> buf = random_bytes(64, 3);
+  for (std::size_t align = 0; align < 4; ++align)
+    for (std::size_t len = 0; len <= 40; ++len)
+      for (const std::uint32_t seed : {0u, 0x9e3779b9u}) {
+        const std::uint8_t* p = buf.data() + align;
+        EXPECT_EQ(crc32(p, len, seed), crc32_reference(p, len, seed))
+            << "len " << len << " align " << align << " seed " << seed;
+      }
+}
+
+TEST(PersistCodec, Crc32CombineMatchesConcatenation) {
+  using dv::persist::crc32;
+  using dv::persist::crc32_combine;
+  const std::vector<std::uint8_t> buf = random_bytes(300, 5);
+  std::mt19937 rng(7);
+  std::vector<std::size_t> cuts = {0, 1, 15, 16, 17, buf.size()};
+  for (int i = 0; i < 50; ++i) cuts.push_back(rng() % (buf.size() + 1));
+  for (const std::size_t cut : cuts) {
+    const std::uint32_t a = crc32(buf.data(), cut);
+    const std::uint32_t b = crc32(buf.data() + cut, buf.size() - cut);
+    EXPECT_EQ(crc32_combine(a, b, buf.size() - cut),
+              crc32(buf.data(), buf.size()))
+        << "cut at " << cut;
+  }
+  // A long second half exercises the high bits of the length.
+  const std::vector<std::uint8_t> big = random_bytes(1 << 20, 9);
+  EXPECT_EQ(crc32_combine(crc32(buf.data(), buf.size()),
+                          crc32(big.data(), big.size()), big.size()),
+            crc32(big.data(), big.size(), crc32(buf.data(), buf.size())));
+}
+
+/// One writer sequence over every primitive, pinned to the DVSNAP01 bytes
+/// it must produce (an independent zlib/struct encoder agrees). Any codec
+/// change that moves a byte here breaks snapshots across builds.
+const std::uint8_t kGoldenSnapshot[] = {
+    0x44, 0x56, 0x53, 0x4e, 0x41, 0x50, 0x30, 0x31, 0x4d, 0x45, 0x54, 0x41,
+    0x57, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa5, 0x01, 0xef, 0xbe,
+    0xad, 0xde, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0xfe, 0xff,
+    0xff, 0xff, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x23, 0x01, 0x00, 0x00, 0x00, 0x00,
+    0xf8, 0x7f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0xf9,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x80, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x76, 0xdb,
+    0x9a, 0xe5, 0x9e, 0x47, 0x52, 0x50, 0x48, 0x43, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x02, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff,
+    0xff, 0xff, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x7a, 0x13,
+    0xff, 0x87, 0x45, 0x4e, 0x44, 0x21, 0x0c, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xc2, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x91, 0xfb,
+    0xfd, 0x81, 0xd2, 0xb8, 0x13, 0xf3,
+};
+
+constexpr std::uint64_t kNanBits = 0x7ff8000000000123ull;
+
+TEST(PersistCodec, GoldenBytesPinFormat) {
+  namespace ps = dv::persist;
+  ps::SnapshotWriter w;
+  w.begin_section(ps::kSecMeta);
+  w.put_u8(0xa5);
+  w.put_bool(true);
+  w.put_u32(0xdeadbeefu);
+  w.put_u64(0x0123456789abcdefull);
+  w.put_i32(-2);
+  w.put_i64(-3);
+  w.put_f64(-0.0);
+  w.put_f64(std::bit_cast<double>(kNanBits));
+  w.put_f64(1.5);
+  w.put_value(dv::Value::of_int(-7));
+  w.put_value(dv::Value::of_float(-0.0));
+  w.put_value(dv::Value::of_bool(true));
+  w.put_string("dv");
+  w.end_section();
+  w.begin_section(ps::kSecGraph);
+  w.put_u8_vec({1, 2, 3});
+  w.put_u32_vec({});
+  w.put_u64_vec({std::uint64_t{1} << 40});
+  w.put_i32_vec({-1, 7});
+  w.put_f64_vec({0.5});
+  w.end_section();
+  w.finish();
+
+  const std::vector<std::uint8_t> golden(std::begin(kGoldenSnapshot),
+                                         std::end(kGoldenSnapshot));
+  ASSERT_EQ(w.bytes(), golden);
+  std::uint32_t file_crc;
+  std::memcpy(&file_crc, golden.data() + golden.size() - 8, 4);
+  EXPECT_EQ(file_crc, 0x81fdfb91u);
+
+  ps::SnapshotReader r(golden);
+  r.open(ps::kSecMeta);
+  EXPECT_EQ(r.get_u8(), 0xa5);
+  EXPECT_TRUE(r.get_bool());
+  EXPECT_EQ(r.get_u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.get_u64(), 0x0123456789abcdefull);
+  EXPECT_EQ(r.get_i32(), -2);
+  EXPECT_EQ(r.get_i64(), -3);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.get_f64()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.get_f64()), kNanBits);
+  EXPECT_EQ(r.get_f64(), 1.5);
+  EXPECT_TRUE(bits_equal(r.get_value(), dv::Value::of_int(-7)));
+  EXPECT_TRUE(bits_equal(r.get_value(), dv::Value::of_float(-0.0)));
+  EXPECT_TRUE(bits_equal(r.get_value(), dv::Value::of_bool(true)));
+  EXPECT_EQ(r.get_string(), "dv");
+  r.close();
+  r.open(ps::kSecGraph);
+  EXPECT_EQ(r.get_u8_vec(), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_TRUE(r.get_u32_vec().empty());
+  EXPECT_EQ(r.get_u64_vec(),
+            (std::vector<std::uint64_t>{std::uint64_t{1} << 40}));
+  EXPECT_EQ(r.get_i32_vec(), (std::vector<std::int32_t>{-1, 7}));
+  EXPECT_EQ(r.get_f64_vec(), (std::vector<double>{0.5}));
+  r.close();
+  r.finish();
 }
 
 }  // namespace
