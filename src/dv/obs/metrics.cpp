@@ -27,6 +27,7 @@ const char* counter_name(Counter c) {
     case Counter::kVerticesHalted: return "pregel.vertices_halted";
     case Counter::kVerticesWoken: return "pregel.vertices_woken";
     case Counter::kSupersteps: return "pregel.supersteps";
+    case Counter::kInlineSupersteps: return "pregel.inline_supersteps";
     case Counter::kWarmEpochs: return "stream.warm_epochs";
     case Counter::kColdEpochs: return "stream.cold_epochs";
     case Counter::kSnapshotBytesWritten:

@@ -50,6 +50,8 @@ enum class Counter : std::uint32_t {
   kVerticesHalted,           // vote_to_halt transitions (§6.6)
   kVerticesWoken,            // message-driven reactivations (§6.6)
   kSupersteps,
+  kInlineSupersteps,         // supersteps run on the caller's thread
+                             // (step(fn, true)); the rest were threaded
   // Streaming epochs.
   kWarmEpochs,
   kColdEpochs,

@@ -19,6 +19,13 @@ namespace {
 /// f64 timings.
 constexpr std::size_t kSuperstepRecordBytes = 12 * 8;
 
+/// An exchange-free round runs inline (Engine::step(fn, true)) while its
+/// live frontier is at most max(kInlineFrontierFloor, |V| /
+/// kInlineFrontierShare): warm epochs waking a few dozen vertices skip
+/// the fork-join, wide cold frontiers keep the threads.
+constexpr std::uint64_t kInlineFrontierFloor = 256;
+constexpr std::uint64_t kInlineFrontierShare = 8;
+
 /// Adapts the engine's per-vertex send API to the interpreter's SendSink,
 /// optionally teeing every message into the debug probe. When the runner
 /// routes sites through the lock-free fold path, this sink is also the
@@ -1565,32 +1572,14 @@ class DvRunner::Impl {
     return mask;
   }
 
-  /// True when run_statement's until-loop may drive through the engine's
-  /// fused exchange-free region (run_fused) instead of one pool dispatch
-  /// per superstep. Correctness never depends on this — fused rounds
-  /// still exchange stray messages in-region — so the gates are (a)
-  /// features that need per-superstep main-thread interleaving (send
-  /// probes, checkpoint hooks, retraction scheduling, per-superstep
-  /// trace spans) and (b) the requirement that every Δ-send site of this
-  /// statement actually bypasses the message pipeline; a statement with
-  /// buffered sites would exchange every round and the shape saves
-  /// nothing.
-  bool can_fuse_statement(const Stmt& stmt, std::uint64_t own_sites) const {
-    if (stmt.kind != Stmt::Kind::kIter) return false;
-    // Remote statements need main-thread phase driving (and the reference
-    // interpretation a per-superstep state snapshot) between supersteps.
-    if (!stmt.phases.empty() ||
-        expr_contains(*stmt.body, ExprKind::kRemoteRead))
-      return false;
+  /// True when every aggregation site in the `sites` mask folds through
+  /// the atomic table, bypassing the message pipeline.
+  bool atomic_routed(std::uint64_t sites) const {
     if (atomic_table_.empty()) return false;
     for (const AggSite& site : prog_.sites)
-      if ((own_sites >> site.id & 1) &&
+      if ((sites >> site.id & 1) &&
           atomic_table_.route[static_cast<std::size_t>(site.id)] < 0)
         return false;
-    if (options_.send_probe) return false;
-    if (checkpointing_) return false;
-    if (!options_.deletions.empty()) return false;
-    if (obs::resolve(options_.collector)) return false;
     return true;
   }
 
@@ -1606,6 +1595,15 @@ class DvRunner::Impl {
     // superstep (the one the quiescence probe below observes) sends
     // nothing; `stable` then hinges entirely on the assignment aggregator.
     const bool msgless_stmt = has_phases || ref_remote;
+    // Exchange-free: an iterated body with no request/reply phases or
+    // reference remote reads whose every own site folds atomically, so
+    // its rounds leave nothing to exchange and small ones run inline.
+    // Correctness never rests on this: an inline round still exchanges
+    // any fallback message.
+    const bool exchange_free =
+        is_iter && !msgless_stmt && atomic_routed(own_sites);
+    const std::uint64_t inline_cap = std::max<std::uint64_t>(
+        kInlineFrontierFloor, g_.num_vertices() / kInlineFrontierShare);
 
     // The superstep cap is per statement *run*, so streaming epochs get a
     // fresh budget instead of exhausting a cumulative one.
@@ -1703,60 +1701,6 @@ class DvRunner::Impl {
         assign_agg_->contribute(ectx.worker(), true);
     };
 
-    if (can_fuse_statement(stmt, own_sites)) {
-      // Fused drive: one fork-join region for the whole until-loop. The
-      // service hook runs the exact inter-round segment of the classic
-      // loop below (drain, cap check, break conditions, next-iteration
-      // setup) on the last-arriving worker while the others park at the
-      // region's barrier; the classic loop stays byte-for-byte
-      // equivalent in supersteps, stats, and state.
-      ++iter;
-      bool last_known =
-          eval_until(stmt, static_cast<std::int64_t>(iter), /*stable=*/false);
-      assign_agg_->reset();
-      set_iteration(iter, last_known ? own_sites : 0);
-      const std::function<bool()> advance = [&]() -> bool {
-        ++supersteps_;
-        drain_atomic(/*activate=*/true);
-        drain_retract(/*activate=*/true);
-        if (epoch_cap_abs_ != 0 && supersteps_ >= epoch_cap_abs_) {
-          warm_aborted_ = true;
-          return false;
-        }
-        DV_CHECK_MSG(supersteps_ - steps_base <= options_.max_supersteps,
-                     "superstep limit exceeded (non-terminating until?)");
-        if (last_known) return false;
-        if (stable_until) {
-          const auto& last = engine_->stats().supersteps.back();
-          const bool quiescent =
-              last.messages_sent == 0 && atomic_folds_last_step_ == 0 &&
-              retract_changes_last_step_ == 0 &&
-              (cp_.options.incrementalize || !assign_agg_->reduce());
-          if (eval_until(stmt, static_cast<std::int64_t>(iter), quiescent))
-            return false;
-        }
-        ++iter;
-        last_known = eval_until(stmt, static_cast<std::int64_t>(iter),
-                                /*stable=*/false);
-        assign_agg_->reset();
-        set_iteration(iter, last_known ? own_sites : 0);
-        return true;
-      };
-      // Sparse frontiers (warm streaming epochs waking a handful of
-      // vertices) go through the single-threaded inline drive: with a
-      // few dozen live vertices even barrier wakeups dominate, and the
-      // exchange-free shape needs no cross-thread message routing. Wide
-      // frontiers (cold convergence) keep the threaded fused region. The
-      // choice is made once per statement run from the entry frontier.
-      if (engine_->num_active() <=
-          std::max<std::uint64_t>(256, g_.num_vertices() / 8))
-        engine_->run_inline(compute, advance);
-      else
-        engine_->run_fused(compute, advance);
-      iterations_.push_back(iter);
-      return;
-    }
-
     for (;;) {
       ++iter;
       // Scheduled vertex removals for this (statement, iteration).
@@ -1793,7 +1737,8 @@ class DvRunner::Impl {
       }
       if (ref_remote)
         std::copy(state_.begin(), state_.end(), ref_snapshot.begin());
-      engine_->step(compute);
+      engine_->step(compute,
+                    exchange_free && engine_->num_active() <= inline_cap);
       victims_.clear();
       ++supersteps_;
       drain_atomic(/*activate=*/true);

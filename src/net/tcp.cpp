@@ -68,11 +68,13 @@ bool TcpStream::read_line(std::string& line) {
   for (;;) {
     const auto nl = buf_.find('\n');
     if (nl != std::string::npos) {
+      if (nl > kMaxLineBytes) overflow();
       line.assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return true;
     }
+    if (buf_.size() > kMaxLineBytes) overflow();
     DV_CHECK_MSG(fd_ >= 0, "read_line on a closed stream");
     char chunk[4096];
     ssize_t n;
@@ -91,6 +93,11 @@ bool TcpStream::read_line(std::string& line) {
     }
     buf_.append(chunk, static_cast<std::size_t>(n));
   }
+}
+
+void TcpStream::overflow() {
+  buf_ = std::string();  // release the memory, not just the contents
+  throw LineTooLong();
 }
 
 void TcpStream::write_line(const std::string& line) {

@@ -7,14 +7,29 @@
 // small — IPv4 loopback-or-given-interface, blocking I/O, line framing —
 // the daemon's concurrency lives in its threads, not in the transport.
 //
-// All failures throw CheckError with the errno text; EOF on read_line is
-// a return value, not an error (clients hanging up is normal).
+// All failures throw CheckError with the errno text, except an
+// over-long line, which throws LineTooLong; EOF on read_line is a return
+// value, not an error (clients hanging up is normal).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace deltav::net {
+
+/// Longest line read_line() accepts, in bytes before the newline. Far
+/// above any line of the serve protocol; it bounds what one peer can make
+/// a reader buffer.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+/// Thrown by read_line() when a line exceeds kMaxLineBytes. The stream
+/// is then mid-line; the caller answers the peer and drops it.
+class LineTooLong : public std::runtime_error {
+ public:
+  LineTooLong() : std::runtime_error("line too long") {}
+};
 
 /// One connected socket with buffered line reading. Move-only (owns the
 /// fd). Writes never raise SIGPIPE: a peer hang-up surfaces as a thrown
@@ -36,8 +51,14 @@ class TcpStream {
   bool valid() const { return fd_ >= 0; }
 
   /// Reads up to the next '\n' (stripped, along with a preceding '\r').
-  /// Returns false on orderly EOF with no buffered partial line.
+  /// Returns false on orderly EOF with no buffered partial line. Throws
+  /// LineTooLong, discarding the buffered bytes, once a line exceeds
+  /// kMaxLineBytes, so the buffer never holds more than that plus one
+  /// receive chunk.
   bool read_line(std::string& line);
+
+  /// Bytes received but not yet returned by read_line().
+  std::size_t buffered_bytes() const { return buf_.size(); }
 
   /// Writes `line` plus '\n', fully.
   void write_line(const std::string& line);
@@ -51,6 +72,8 @@ class TcpStream {
   void close();
 
  private:
+  [[noreturn]] void overflow();
+
   int fd_ = -1;
   std::string buf_;  // bytes received but not yet returned
 };

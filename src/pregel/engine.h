@@ -12,12 +12,15 @@
 // This keeps the engine reusable by both the hand-written Pregel+ baselines
 // and the ΔV interpreter, whose state layout is only known at run time.
 //
-// Threading model: one superstep = two fork-join phases over a persistent
-// WorkerPool. During compute, each worker touches only its owned vertices
-// and its own outboxes. During exchange, each worker builds only its own
-// inbox (reading all senders' outboxes for its slot — sender buffers are
-// immutable in this phase). Halt flags are owner-written only. No locks or
-// atomics appear on the per-message path.
+// Threading model: step() is the only drive. A threaded superstep is one
+// fork-join region over a persistent WorkerPool, with a barrier between
+// its compute and exchange phases. During compute, each worker touches
+// only its owned vertices and its own outboxes. During exchange, each
+// worker builds only its own inbox (reading all senders' outboxes for its
+// slot — sender buffers are immutable in this phase). Halt flags are
+// owner-written only. No locks or atomics appear on the per-message path.
+// An inline superstep (step(fn, true)) runs the same per-worker phases
+// one after another on the caller's thread, without waking the pool.
 //
 // Determinism: given a fixed worker count and partition scheme, message
 // delivery order per vertex is fixed (senders visited in worker order, each
@@ -201,43 +204,56 @@ class Engine {
   /// Executes one superstep: runs `fn(ctx, v, msgs)` for every active owned
   /// vertex on every worker, then exchanges messages. `msgs` is the span of
   /// messages delivered to v at the end of the previous superstep.
+  ///
+  /// `inline_round` runs the superstep on the caller's thread instead of
+  /// the worker pool: compute_phase for each worker in order, then
+  /// exchange_phase for each worker. The per-worker structures and the
+  /// vertex order are the ones a threaded round uses, so messages, stats
+  /// and delivery order are identical; only the fork-join is skipped,
+  /// which pays off when the live frontier is too small to amortize it.
   template <typename ComputeFn>
-  void step(ComputeFn&& fn) {
+  void step(ComputeFn&& fn, bool inline_round = false) {
     SuperstepStats ss;
     obs::Collector* const col = obs::resolve(options_.collector);
     const std::uint64_t span_start = col ? col->trace.now_us() : 0;
     Timer phase_timer;
 
-    // Both phases run inside ONE fork-join region: a lightweight barrier
-    // separates compute from exchange so the workers stay hot instead of
-    // paying a second condvar wake/sleep per superstep. The barrier's
-    // acquire/release pair publishes every worker's outbox writes to every
-    // exchange reader. A worker that throws still arrives (so nobody spins
-    // forever), flags the failure so exchange is skipped engine-wide, and
-    // rethrows for the pool to propagate.
     const int W = options_.num_workers;
-    std::atomic<int> arrived{0};
-    std::atomic<bool> failed{false};
-    double compute_secs = 0;
-    pool_.run([&](int w) {
-      std::exception_ptr err;
-      try {
-        compute_phase(w, fn);
-      } catch (...) {
-        err = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-      if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == W)
-        compute_secs = phase_timer.elapsed_seconds();
-      while (arrived.load(std::memory_order_acquire) < W)
-        std::this_thread::yield();
-      if (err) std::rethrow_exception(err);
-      if (!failed.load(std::memory_order_relaxed)) exchange_phase(w);
-    });
-    ss.compute_seconds = compute_secs;
-    ss.exchange_seconds = phase_timer.elapsed_seconds() - compute_secs;
+    if (inline_round) {
+      // A throwing compute propagates straight out: no exchange, no
+      // finish_step, exactly like a failed threaded round.
+      for (int w = 0; w < W; ++w) compute_phase(w, fn);
+      ss.compute_seconds = phase_timer.elapsed_seconds();
+      for (int w = 0; w < W; ++w) exchange_phase(w);
+    } else {
+      // Both phases run inside ONE fork-join region: a lightweight barrier
+      // separates compute from exchange so the workers stay hot instead of
+      // paying a second condvar wake/sleep per superstep. The barrier's
+      // acquire/release pair publishes every worker's outbox writes to
+      // every exchange reader. A worker that throws still arrives (so
+      // nobody spins forever), flags the failure so exchange is skipped
+      // engine-wide, and rethrows for the pool to propagate.
+      std::atomic<int> arrived{0};
+      std::atomic<bool> failed{false};
+      pool_.run([&](int w) {
+        std::exception_ptr err;
+        try {
+          compute_phase(w, fn);
+        } catch (...) {
+          err = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+        if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == W)
+          ss.compute_seconds = phase_timer.elapsed_seconds();
+        while (arrived.load(std::memory_order_acquire) < W)
+          std::this_thread::yield();
+        if (err) std::rethrow_exception(err);
+        if (!failed.load(std::memory_order_relaxed)) exchange_phase(w);
+      });
+    }
+    ss.exchange_seconds = phase_timer.elapsed_seconds() - ss.compute_seconds;
 
-    finish_step(ss);
+    finish_step(ss, inline_round);
 
     if (col) {
       auto& tr = col->trace;
@@ -276,140 +292,6 @@ class Engine {
   const RunStats& run(ComputeFn&& fn, std::size_t max_supersteps = kNoLimit) {
     while (!done() && superstep_ < max_supersteps) step(fn);
     return stats_;
-  }
-
-  /// Fused multi-round drive — the exchange-free superstep shape. Runs
-  /// compute rounds back-to-back inside ONE fork-join region, separated
-  /// by generation barriers (~2µs) instead of per-round pool dispatches
-  /// (~6µs plus condvar sleep/wake amplification when rounds do real
-  /// work). Exists for callers whose sends bypass the message pipeline —
-  /// the ΔV lock-free fold path — where a round leaves nothing to
-  /// exchange and the only inter-round work is the caller's own (fold
-  /// drain, loop-condition checks), done here by the last-arriving
-  /// thread via `service()` while the other workers park at the barrier.
-  /// service() returns false to end the region; state it mutates is
-  /// published to the next round by the barrier release.
-  ///
-  /// Rounds that DO send (a program may mix buffered sites in, or fall
-  /// back for one contribution) run the full exchange inside the region,
-  /// so correctness never rests on the caller's eligibility proof — only
-  /// the performance claim does. Callers must not need per-round
-  /// main-thread interleaving: send probes, checkpoint hooks, and
-  /// per-superstep trace spans all require the classic step() loop.
-  /// Superstep stats are recorded exactly as step() records them;
-  /// compute/exchange wall timings are left zero (no per-round timers).
-  template <typename ComputeFn>
-  void run_fused(ComputeFn&& fn, const std::function<bool()>& service) {
-    const int W = options_.num_workers;
-    std::atomic<int> arrived{0};
-    std::atomic<std::uint64_t> gen{0};
-    std::atomic<bool> stop{false};
-    std::atomic<bool> do_exchange{false};
-    std::atomic<bool> failed{false};
-    // Generation barrier with a single-threaded leader section. The
-    // leader (last arriver) runs `section` while everyone else spins on
-    // the generation word; its release publishes the leader's writes. A
-    // throwing section still bumps the generation (nobody spins forever),
-    // flags the failure, and rethrows on the leader's thread for the pool
-    // to propagate.
-    const auto barrier = [&](const auto& section) {
-      const std::uint64_t g = gen.load(std::memory_order_acquire);
-      if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == W) {
-        arrived.store(0, std::memory_order_relaxed);
-        try {
-          section();
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          stop.store(true, std::memory_order_relaxed);
-          gen.store(g + 1, std::memory_order_release);
-          throw;
-        }
-        gen.store(g + 1, std::memory_order_release);
-      } else {
-        while (gen.load(std::memory_order_acquire) == g)
-          std::this_thread::yield();
-      }
-    };
-    const auto bookkeep = [&] {
-      SuperstepStats ss;
-      finish_step(ss);
-      if (!service()) stop.store(true, std::memory_order_relaxed);
-    };
-    pool_.run([&](int w) {
-      while (!stop.load(std::memory_order_relaxed)) {
-        try {
-          compute_phase(w, fn);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          stop.store(true, std::memory_order_relaxed);
-          barrier([] {});
-          throw;
-        }
-        barrier([&] {
-          if (failed.load(std::memory_order_relaxed)) return;
-          // The round is exchange-free iff no outbox got a (fallback)
-          // message and every inbox was already drained; then the
-          // between-round bookkeeping happens right here and the next
-          // compute round starts without a second barrier.
-          bool msgs = false;
-          for (int dw = 0; !msgs && dw < W; ++dw) {
-            msgs = !workers_[static_cast<std::size_t>(dw)]
-                        .inbox_data.empty();
-            for (int sw = 0; !msgs && sw < W; ++sw)
-              msgs = !workers_[static_cast<std::size_t>(sw)]
-                          .outbox[static_cast<std::size_t>(dw)]
-                          .empty();
-          }
-          do_exchange.store(msgs, std::memory_order_relaxed);
-          if (!msgs) bookkeep();
-        });
-        if (do_exchange.load(std::memory_order_relaxed) &&
-            !failed.load(std::memory_order_relaxed)) {
-          try {
-            exchange_phase(w);
-          } catch (...) {
-            failed.store(true, std::memory_order_relaxed);
-            stop.store(true, std::memory_order_relaxed);
-            barrier([] {});
-            throw;
-          }
-          barrier([&] {
-            if (!failed.load(std::memory_order_relaxed)) bookkeep();
-          });
-        }
-      }
-    });
-  }
-
-  /// Single-threaded sibling of run_fused for sparse rounds. When the
-  /// live frontier is a few dozen vertices, even a generation barrier is
-  /// pure overhead — on a loaded host every fork-join forces a scheduling
-  /// round-trip through all workers that costs more than the compute
-  /// itself. Here the caller's thread walks every worker's lane in worker
-  /// order (identical per-worker structures, identical stats, identical
-  /// deterministic vertex order), exchanges only when a round actually
-  /// produced messages, and runs `service()` between rounds exactly like
-  /// run_fused's leader section. Only profitable for exchange-free
-  /// callers; the same gating rules as run_fused apply.
-  template <typename ComputeFn>
-  void run_inline(ComputeFn&& fn, const std::function<bool()>& service) {
-    const int W = options_.num_workers;
-    for (;;) {
-      for (int w = 0; w < W; ++w) compute_phase(w, fn);
-      bool msgs = false;
-      for (int dw = 0; !msgs && dw < W; ++dw) {
-        msgs = !workers_[static_cast<std::size_t>(dw)].inbox_data.empty();
-        for (int sw = 0; !msgs && sw < W; ++sw)
-          msgs = !workers_[static_cast<std::size_t>(sw)]
-                      .outbox[static_cast<std::size_t>(dw)]
-                      .empty();
-      }
-      if (msgs)
-        for (int w = 0; w < W; ++w) exchange_phase(w);
-      SuperstepStats ss;
-      finish_step(ss);
-      if (!service()) return;
-    }
   }
 
   std::size_t superstep() const { return superstep_; }
@@ -948,10 +830,9 @@ class Engine {
     }
   }
 
-  void finish_step(SuperstepStats& ss) {
-    std::vector<std::uint64_t> egress(
-        static_cast<std::size_t>(cluster_.config().machines), 0);
-    std::vector<std::uint64_t> ingress(egress.size(), 0);
+  void finish_step(SuperstepStats& ss, bool inline_round) {
+    egress_.assign(static_cast<std::size_t>(cluster_.config().machines), 0);
+    ingress_.assign(egress_.size(), 0);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       auto& ws = workers_[w];
       ss.messages_sent += ws.sent;
@@ -965,9 +846,9 @@ class Engine {
       ss.vertices_woken += ws.woken_count;
       const auto m =
           static_cast<std::size_t>(machine_of_worker(static_cast<int>(w)));
-      ingress[m] += ws.cross_bytes;
+      ingress_[m] += ws.cross_bytes;
       for (std::size_t sm = 0; sm < ws.cross_in_from.size(); ++sm) {
-        egress[sm] += ws.cross_in_from[sm];
+        egress_[sm] += ws.cross_in_from[sm];
         ws.cross_in_from[sm] = 0;
       }
       ws.sent = ws.sent_bytes = 0;
@@ -978,7 +859,7 @@ class Engine {
       if (options_.schedule == ScheduleMode::kWorkQueue)
         std::swap(ws.queue, ws.next_queue);
     }
-    ss.sim_comm_seconds = cluster_.superstep_seconds(egress, ingress);
+    ss.sim_comm_seconds = cluster_.superstep_seconds(egress_, ingress_);
     stats_.supersteps.push_back(ss);
     ++superstep_;
     if (obs::Collector* const col = obs::resolve(options_.collector)) {
@@ -990,6 +871,7 @@ class Engine {
       sh.add(obs::Counter::kVerticesHalted, ss.vertices_halted);
       sh.add(obs::Counter::kVerticesWoken, ss.vertices_woken);
       sh.add(obs::Counter::kSupersteps, 1);
+      if (inline_round) sh.add(obs::Counter::kInlineSupersteps, 1);
     }
   }
 
@@ -1019,6 +901,10 @@ class Engine {
   std::vector<WorkerState> workers_;
   RunStats stats_;
   std::size_t superstep_ = 0;
+  // Per-machine cross-network byte tallies: finish_step scratch, kept
+  // here so a superstep allocates nothing.
+  std::vector<std::uint64_t> egress_;
+  std::vector<std::uint64_t> ingress_;
 };
 
 }  // namespace deltav::pregel

@@ -17,7 +17,9 @@
 // compute fork-join and the single-threaded drain fails there.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "algorithms/connected_components.h"
@@ -56,13 +58,46 @@ dv::DvRunResult run_fold(const dv::CompiledProgram& cp,
                          const graph::CsrGraph& g, FoldPath path,
                          std::map<std::string, Value> params = {},
                          int workers = 8,
-                         dv::ExecTier tier = dv::ExecTier::kVm) {
+                         dv::ExecTier tier = dv::ExecTier::kVm,
+                         obs::Collector* collector = nullptr) {
   dv::DvRunOptions o;
   o.engine = small_engine(workers);
   o.params = std::move(params);
   o.fold_path = path;
   o.tier = tier;
+  o.collector = collector;
   return dv::run_program(cp, g, o);
+}
+
+std::uint64_t counter(const obs::Collector& col, const char* name) {
+  return col.metrics.snapshot().counters.at(name);
+}
+
+/// Runs `cp` on the atomic path with a collector attached and returns how
+/// many of its until-loop rounds ran threaded. Inline supersteps only ever
+/// happen inside the until-loop of the program's last (iterated)
+/// statement, so the rest of that loop's rounds were threaded: the
+/// workers really did fold into the shared slots concurrently.
+std::pair<dv::DvRunResult, std::uint64_t> run_contended(
+    const dv::CompiledProgram& cp, const graph::CsrGraph& g,
+    obs::Collector& col, std::map<std::string, Value> params = {},
+    dv::ExecTier tier = dv::ExecTier::kVm) {
+  const std::uint64_t inline_before =
+      counter(col, "pregel.inline_supersteps");
+  auto r = run_fold(cp, g, FoldPath::kAtomic, std::move(params), 8, tier,
+                    &col);
+  const std::uint64_t inlined =
+      counter(col, "pregel.inline_supersteps") - inline_before;
+  const std::uint64_t rounds = r.iterations.back();
+  return {std::move(r), rounds - inlined};
+}
+
+/// Undirected R-MAT big enough that the until-loop's entry frontier (every
+/// vertex) is above the runner's inline threshold, max(256, |V|/8).
+graph::CsrGraph contended_rmat(std::uint64_t seed) {
+  graph::RmatOptions o;
+  o.directed = false;
+  return graph::rmat(2048, 8192, seed, o);
 }
 
 /// Sequential oracle for kSumGossip.
@@ -85,9 +120,11 @@ std::vector<std::int64_t> sum_gossip_oracle(const graph::CsrGraph& g,
 // ---------------------------------------------------------------------------
 
 TEST(AtomicFold, HubFetchAddContentionMatchesBufferedAndOracle) {
-  // 255 leaves all folding into vertex 0's single pending slot, split
-  // across 8 worker lanes. steps=10 keeps the growth inside int64.
-  const auto g = graph::star(255, /*directed=*/false);
+  // 511 leaves all folding into vertex 0's single pending slot, split
+  // across 8 worker lanes. Every round wakes all 512 vertices, above the
+  // inline threshold, so every round runs threaded. steps=10 keeps the
+  // growth inside int64 (the largest value is about 8.9e15).
+  const auto g = graph::star(511, /*directed=*/false);
   const auto cp = compile_dv(kSumGossip);
   const auto params =
       std::map<std::string, Value>{{"steps", Value::of_int(10)}};
@@ -99,9 +136,11 @@ TEST(AtomicFold, HubFetchAddContentionMatchesBufferedAndOracle) {
   for (std::size_t v = 0; v < oracle.size(); ++v)
     ASSERT_EQ(base[v], oracle[v]) << "buffered vs oracle at vertex " << v;
 
+  obs::Collector col(9);
   for (int rep = 0; rep < 100; ++rep) {
     const auto tier = rep % 2 == 0 ? dv::ExecTier::kVm : dv::ExecTier::kTree;
-    const auto atomic = run_fold(cp, g, FoldPath::kAtomic, params, 8, tier);
+    const auto [atomic, threaded] = run_contended(cp, g, col, params, tier);
+    ASSERT_EQ(threaded, 10u) << "rep " << rep << ": rounds ran inline";
     ASSERT_EQ(atomic.stats.total_messages_sent(), 0u)
         << "rep " << rep << ": atomic path sent messages";
     ASSERT_EQ(atomic.supersteps, buffered.supersteps) << "rep " << rep;
@@ -118,19 +157,22 @@ TEST(AtomicFold, HubFetchAddContentionMatchesBufferedAndOracle) {
 // ---------------------------------------------------------------------------
 
 TEST(AtomicFold, HubCasMaxContentionMatchesBuffered) {
-  // Max gossip on an undirected star: superstep 1 is 255 concurrent
+  // Max gossip on an undirected star: superstep 1 is 511 concurrent
   // CAS-max proposals against the hub's slot, most of which lose the
-  // race and must retry.
-  const auto g = graph::star(255, /*directed=*/false);
+  // race and must retry. The 512-vertex entry frontier is above the
+  // inline threshold, so that round runs threaded.
+  const auto g = graph::star(511, /*directed=*/false);
   const auto cp = compile_dv(dv::programs::kMaxGossip);
 
   const auto buffered = run_fold(cp, g, FoldPath::kBuffered);
   const auto base = buffered.field_as_int("big");
   for (std::size_t v = 0; v < base.size(); ++v)
-    ASSERT_EQ(base[v], 255) << "vertex " << v;
+    ASSERT_EQ(base[v], 511) << "vertex " << v;
 
+  obs::Collector col(9);
   for (int rep = 0; rep < 100; ++rep) {
-    const auto atomic = run_fold(cp, g, FoldPath::kAtomic);
+    const auto [atomic, threaded] = run_contended(cp, g, col);
+    ASSERT_GT(threaded, 0u) << "rep " << rep << ": every round ran inline";
     ASSERT_EQ(atomic.stats.total_messages_sent(), 0u) << "rep " << rep;
     ASSERT_EQ(atomic.supersteps, buffered.supersteps) << "rep " << rep;
     const auto got = atomic.field_as_int("big");
@@ -140,13 +182,17 @@ TEST(AtomicFold, HubCasMaxContentionMatchesBuffered) {
 }
 
 TEST(AtomicFold, CasMinMatchesUnionFindOracle) {
-  const auto g = test::small_undirected(11);
+  // 2048 vertices: the wide early rounds run threaded (concurrent CAS-min
+  // on shared slots), the sparse tail inline.
+  const auto g = contended_rmat(11);
   const auto oracle = algorithms::connected_components_oracle(g);
   const auto cp = compile_dv(dv::programs::kConnectedComponents);
 
   const auto buffered = run_fold(cp, g, FoldPath::kBuffered);
+  obs::Collector col(9);
   for (int rep = 0; rep < 100; ++rep) {
-    const auto atomic = run_fold(cp, g, FoldPath::kAtomic);
+    const auto [atomic, threaded] = run_contended(cp, g, col);
+    ASSERT_GT(threaded, 0u) << "rep " << rep << ": every round ran inline";
     ASSERT_EQ(atomic.stats.total_messages_sent(), 0u) << "rep " << rep;
     const auto got = atomic.field_as_int("comp");
     ASSERT_EQ(got.size(), oracle.size());
@@ -155,6 +201,67 @@ TEST(AtomicFold, CasMinMatchesUnionFindOracle) {
           << "rep " << rep << " vertex " << v;
     ASSERT_EQ(atomic.supersteps, buffered.supersteps) << "rep " << rep;
   }
+}
+
+// ---------------------------------------------------------------------------
+// observers never change the drive
+// ---------------------------------------------------------------------------
+
+/// Every SuperstepStats counter except the wall timings, per superstep.
+std::vector<std::vector<std::uint64_t>> stat_counters(
+    const dv::DvRunResult& r) {
+  std::vector<std::vector<std::uint64_t>> out;
+  for (const auto& s : r.stats.supersteps)
+    out.push_back({s.messages_sent, s.messages_delivered, s.messages_dropped,
+                   s.bytes_sent, s.bytes_delivered, s.cross_machine_bytes,
+                   s.active_vertices, s.vertices_halted, s.vertices_woken});
+  return out;
+}
+
+void expect_same_run(const dv::DvRunResult& a, const dv::DvRunResult& b,
+                     const char* field) {
+  EXPECT_EQ(a.supersteps, b.supersteps);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(stat_counters(a), stat_counters(b));
+  EXPECT_EQ(a.field_as_int(field), b.field_as_int(field));
+}
+
+TEST(AtomicFold, ObserversDoNotChangeTheDrive) {
+  // Observers must not change the program that runs: with a collector
+  // and a checkpoint hook attached, the rounds are still chosen inline or
+  // threaded by frontier size alone, so the run matches a bare one.
+  const auto g = contended_rmat(5);
+  const auto cp = compile_dv(dv::programs::kConnectedComponents);
+  dv::DvRunOptions o;
+  o.engine = small_engine(4);
+  o.fold_path = FoldPath::kAtomic;
+  const auto bare = dv::run_program(cp, g, o);
+
+  obs::Collector col(5);
+  std::size_t checkpoints = 0;
+  dv::DvRunOptions observed = o;
+  observed.collector = &col;
+  observed.checkpoint_every = 1;
+  observed.checkpoint_sink = [&](std::size_t) { ++checkpoints; };
+  const auto watched = dv::run_program(cp, g, observed);
+  expect_same_run(watched, bare, "comp");
+  EXPECT_GT(checkpoints, 0u);
+  const std::uint64_t inlined = counter(col, "pregel.inline_supersteps");
+  EXPECT_GT(inlined, 0u);
+  EXPECT_LT(inlined, bare.iterations.back()) << "no round ran threaded";
+
+  // A send probe forces the buffered fold path (a message probe has
+  // nothing to observe on a message-free path), so it is compared
+  // against a bare buffered run: the probe alone changes nothing either.
+  o.fold_path = FoldPath::kBuffered;
+  const auto bare_buffered = dv::run_program(cp, g, o);
+  std::atomic<std::uint64_t> probed{0};
+  observed.send_probe = [&](graph::VertexId, graph::VertexId,
+                            const dv::DvMessage&) { ++probed; };
+  const auto probed_run = dv::run_program(cp, g, observed);
+  expect_same_run(probed_run, bare_buffered, "comp");
+  EXPECT_EQ(probed.load(), bare_buffered.stats.total_messages_sent());
+  EXPECT_EQ(probed_run.field_as_int("comp"), bare.field_as_int("comp"));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 // commutative/associative-compatible with delta application.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "dv/runtime/delta.h"
 #include "dv/runtime/message.h"
@@ -133,12 +135,21 @@ TEST(Delta, FirstSendOfIdentityIsNoop) {
 
 // --------------------------------------------- Eq. 11 over random streams
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct has no implicit padding: the bytes between the flags and the
+// double are a zeroed member rather than whatever the stack held, which
+// keeps the test names the same from one build to the next.
 struct StreamCase {
+  StreamCase(AggOp o, Type t, bool mono, double zp)
+      : op(o), type(t), monotone_decreasing(mono), zero_prob(zp) {}
+
   AggOp op;
   Type type;
   bool monotone_decreasing;  // for min (idempotent exactness condition)
+  std::uint8_t zeroed[5] = {};
   double zero_prob;          // chance a value is the absorbing element
 };
+static_assert(sizeof(StreamCase) == 16, "StreamCase must have no padding");
 
 class DeltaStreamTest : public ::testing::TestWithParam<StreamCase> {};
 

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <span>
+#include <string>
+#include <thread>
 
 #include "net/cluster_model.h"
+#include "net/tcp.h"
 #include "pregel/engine.h"
 
 namespace deltav::net {
@@ -133,6 +139,72 @@ TEST(ClusterModel, InvalidConfigRejected) {
   ClusterConfig c2;
   c2.bandwidth_bytes_per_sec = 0;
   EXPECT_THROW(ClusterModel{c2}, CheckError);
+}
+
+// ---- TcpStream ------------------------------------------------------------
+
+/// Sends `bytes` raw (no framing) to 127.0.0.1:`port`, then half-closes.
+/// Send errors end the transfer quietly: the reader may hang up first.
+void send_raw(std::uint16_t port, const std::string& bytes) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  ::close(fd);
+}
+
+TEST(TcpStream, ReadLineRejectsOverlongLineWithBoundedBuffer) {
+  TcpListener listener(0);
+  // A line of exactly the cap is accepted; then three caps' worth of bytes
+  // with no newline at all.
+  std::string bytes(kMaxLineBytes, 'a');
+  bytes += '\n';
+  bytes.append(3 * kMaxLineBytes, 'b');
+  // Declared before the reader, so an early failure closes the reader
+  // first and the client's blocked sends fail before the join.
+  std::jthread client([&] { send_raw(listener.port(), bytes); });
+  {
+    TcpStream server = listener.accept();
+    ASSERT_TRUE(server.valid());
+    std::string line;
+    ASSERT_TRUE(server.read_line(line));
+    EXPECT_EQ(line.size(), kMaxLineBytes);
+    EXPECT_THROW(server.read_line(line), LineTooLong);
+    EXPECT_EQ(server.buffered_bytes(), 0u);
+    // The first throw consumed at most the cap plus one receive chunk, so
+    // more than a cap of the newline-free run is still unread: reading on
+    // overflows again instead of swallowing the stream.
+    EXPECT_THROW(server.read_line(line), LineTooLong);
+    EXPECT_EQ(server.buffered_bytes(), 0u);
+  }  // the reader hangs up; the client's pending sends fail and it exits
+}
+
+TEST(TcpStream, ReadLineSplitsLinesAndReturnsUnterminatedTail) {
+  TcpListener listener(0);
+  std::jthread client(
+      [&] { send_raw(listener.port(), "one\r\ntwo\nthree"); });
+  TcpStream server = listener.accept();
+  std::string line;
+  ASSERT_TRUE(server.read_line(line));
+  EXPECT_EQ(line, "one");
+  ASSERT_TRUE(server.read_line(line));
+  EXPECT_EQ(line, "two");
+  ASSERT_TRUE(server.read_line(line));
+  EXPECT_EQ(line, "three");
+  EXPECT_FALSE(server.read_line(line));
 }
 
 }  // namespace

@@ -283,11 +283,161 @@ TEST(Engine, ActivateAllWakesEveryone) {
 }
 
 TEST(Engine, WorkerExceptionPropagates) {
-  IntEngine e(4, test::small_engine(2));
-  EXPECT_THROW(e.step([](auto&, VertexId v, std::span<const int>) {
-    if (v == 3) throw std::runtime_error("worker boom");
-  }),
-               std::runtime_error);
+  for (const bool inline_round : {false, true}) {
+    IntEngine e(4, test::small_engine(2));
+    EXPECT_THROW(e.step(
+                     [](auto&, VertexId v, std::span<const int>) {
+                       if (v == 3) throw std::runtime_error("worker boom");
+                     },
+                     inline_round),
+                 std::runtime_error)
+        << "inline_round=" << inline_round;
+    // A failed round is not a superstep: nothing was exchanged or counted.
+    EXPECT_EQ(e.superstep(), 0u) << "inline_round=" << inline_round;
+    EXPECT_TRUE(e.stats().supersteps.empty());
+  }
+}
+
+TEST(Engine, InlineRoundReportsPhaseTimings) {
+  IntEngine e(64, test::small_engine(3));
+  volatile std::uint64_t sink = 0;
+  e.step(
+      [&](auto& ctx, VertexId v, std::span<const int>) {
+        for (std::uint64_t i = 0; i < 1000; ++i) sink = sink + i * v;
+        ctx.send(static_cast<VertexId>((v + 1) % 64), 1);
+      },
+      /*inline_round=*/true);
+  const auto& s = e.stats().supersteps.at(0);
+  EXPECT_GT(s.compute_seconds, 0.0);
+  EXPECT_GE(s.exchange_seconds, 0.0);
+  EXPECT_EQ(s.messages_delivered, 64u);
+}
+
+// ---- inline vs threaded rounds -------------------------------------------
+
+/// A message addressed to one of four aggregation sites of its receiver,
+/// so combiners can key on (destination, site) like the ΔV runtime does.
+struct SiteMsg {
+  std::uint32_t site = 0;
+  std::int64_t val = 0;
+  bool operator==(const SiteMsg&) const = default;
+};
+
+/// Combines per (destination, site) through the engine's hash maps.
+struct HashSiteCombiner {
+  void operator()(SiteMsg& acc, const SiteMsg& in) const { acc.val += in.val; }
+  std::uint64_t key(VertexId dst, const SiteMsg& m) const {
+    return std::uint64_t{dst} * 4 + m.site;
+  }
+};
+
+/// The same key space through the dense (vertex × subkey) slot array.
+struct DenseSiteCombiner {
+  void operator()(SiteMsg& acc, const SiteMsg& in) const { acc.val += in.val; }
+  std::size_t num_subkeys() const { return 4; }
+  std::size_t subkey(const SiteMsg& m) const { return m.site; }
+};
+
+/// Everything a round can observably produce except its wall timings.
+struct RoundTrace {
+  std::vector<std::vector<std::uint64_t>> counters;  // per round
+  std::vector<double> sim_comm_seconds;              // per round
+  std::vector<std::vector<std::vector<SiteMsg>>> delivered;  // [round][v]
+  std::vector<std::vector<std::uint8_t>> halted;     // [round][v]
+  std::vector<std::vector<std::uint8_t>> deleted;    // [round][v]
+  std::vector<std::int64_t> values;                  // final vertex state
+};
+
+/// Drives a halting, message-summing computation for a fixed number of
+/// rounds, deleting and re-activating vertices between rounds, and
+/// records every round's observable outcome.
+template <typename EngineT>
+RoundTrace trace_rounds(const graph::CsrGraph& g, const EngineOptions& opts,
+                        bool inline_rounds) {
+  constexpr std::size_t kRounds = 10;
+  const std::size_t n = g.num_vertices();
+  EngineT e(n, opts);
+  RoundTrace t;
+  t.delivered.assign(kRounds, std::vector<std::vector<SiteMsg>>(n));
+  std::vector<std::int64_t> x(n);
+  for (std::size_t v = 0; v < n; ++v) x[v] = static_cast<std::int64_t>(v + 1);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    if (r == 3)
+      for (VertexId v = 5; v < n; v += 11) e.mark_deleted(v);
+    if (r == 5)
+      for (VertexId v = 2; v < n; v += 7) e.activate(v);
+    e.step(
+        [&](auto& ctx, VertexId v, std::span<const SiteMsg> msgs) {
+          t.delivered[r][v].assign(msgs.begin(), msgs.end());
+          for (const SiteMsg& m : msgs) x[v] = (x[v] + m.val) % 1000003;
+          for (const VertexId u : g.out_neighbors(v))
+            ctx.send(u, SiteMsg{static_cast<std::uint32_t>((v + u) % 4),
+                                x[v] % 97});
+          if ((x[v] + static_cast<std::int64_t>(r)) % 3 == 0)
+            ctx.vote_to_halt();
+        },
+        inline_rounds);
+    const SuperstepStats& s = e.stats().supersteps.back();
+    t.counters.push_back({s.messages_sent, s.messages_delivered,
+                          s.messages_dropped, s.bytes_sent, s.bytes_delivered,
+                          s.cross_machine_bytes, s.active_vertices,
+                          s.vertices_halted, s.vertices_woken});
+    t.sim_comm_seconds.push_back(s.sim_comm_seconds);
+    std::vector<std::uint8_t> halted(n), deleted(n);
+    for (VertexId v = 0; v < n; ++v) {
+      halted[v] = e.is_halted(v);
+      deleted[v] = e.is_deleted(v);
+    }
+    t.halted.push_back(std::move(halted));
+    t.deleted.push_back(std::move(deleted));
+  }
+  t.values = std::move(x);
+  return t;
+}
+
+template <typename EngineT>
+void expect_inline_matches_threaded(const char* combiner) {
+  const auto g = test::small_directed(41);
+  for (const ScheduleMode mode :
+       {ScheduleMode::kScanAll, ScheduleMode::kWorkQueue}) {
+    for (const int workers : {1, 3, 4}) {
+      EngineOptions opts = test::small_engine(workers);
+      opts.schedule = mode;
+      SCOPED_TRACE(::testing::Message()
+                   << combiner << " workers=" << workers << " schedule="
+                   << (mode == ScheduleMode::kScanAll ? "scan" : "queue"));
+      const RoundTrace threaded = trace_rounds<EngineT>(g, opts, false);
+      const RoundTrace inlined = trace_rounds<EngineT>(g, opts, true);
+      EXPECT_EQ(inlined.counters, threaded.counters);
+      EXPECT_EQ(inlined.sim_comm_seconds, threaded.sim_comm_seconds);
+      EXPECT_EQ(inlined.delivered, threaded.delivered);
+      EXPECT_EQ(inlined.halted, threaded.halted);
+      EXPECT_EQ(inlined.deleted, threaded.deleted);
+      EXPECT_EQ(inlined.values, threaded.values);
+      // The computation must actually exercise the paths it compares.
+      std::uint64_t dropped = 0, delivered = 0;
+      for (const auto& c : threaded.counters) {
+        delivered += c[1];
+        dropped += c[2];
+      }
+      EXPECT_GT(delivered, 0u);
+      EXPECT_GT(dropped, 0u);
+    }
+  }
+}
+
+TEST(Engine, InlineRoundsMatchThreadedNoCombiner) {
+  expect_inline_matches_threaded<Engine<SiteMsg>>("no combiner");
+}
+
+TEST(Engine, InlineRoundsMatchThreadedHashCombiner) {
+  expect_inline_matches_threaded<Engine<SiteMsg, HashSiteCombiner>>(
+      "hash combiner");
+}
+
+TEST(Engine, InlineRoundsMatchThreadedDenseCombiner) {
+  expect_inline_matches_threaded<Engine<SiteMsg, DenseSiteCombiner>>(
+      "dense-subkey combiner");
 }
 
 // Scheduling-mode equivalence: the same computation under kScanAll and

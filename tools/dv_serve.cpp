@@ -91,6 +91,15 @@ class Daemon {
         if (!resp.empty()) s->write_line(resp);
         if (quit) return;
       }
+    } catch (const net::LineTooLong&) {
+      // A peer that never sends a newline would otherwise grow the read
+      // buffer without limit: answer once, then hang up on it.
+      try {
+        s->write_line("ERR line too long");
+      } catch (const std::exception&) {
+      }
+      s->shutdown();
+      std::cerr << "dv_serve: connection dropped: line too long\n";
     } catch (const std::exception& e) {
       // A hung-up peer mid-write is normal churn, not a daemon error.
       std::cerr << "dv_serve: connection dropped: " << e.what() << "\n";
