@@ -1,11 +1,10 @@
-// A3 — §6.6 / §9 ablation: halt-by-default and work-queue scheduling.
+// A3 — §6.6 / §9 ablation: halt-by-default.
 //
-// Two independent knobs the paper discusses:
-//   * halt insertion (§6.6): vertices halt every superstep and wake only
-//     on messages — reduces how many vertices *compute*;
-//   * the §9 future-work scheduler: with halt-by-default, runnable
-//     vertices can be taken from a per-worker queue fed by message
-//     delivery instead of scanning every vertex each superstep.
+// Halt insertion (§6.6): vertices halt every superstep and wake only on
+// messages, which reduces how many vertices *compute*. The engine always
+// takes runnable vertices from per-worker queues fed by message delivery
+// (the §9 scheduler), so with halts on a superstep touches only its
+// frontier instead of scanning every vertex.
 #include <iostream>
 
 #include "bench_common.h"
@@ -28,27 +27,15 @@ int main(int argc, char** argv) {
   const std::map<std::string, dv::Value> params = {
       {"steps", dv::Value::of_int(29)}};
 
-  Table t({"variant", "schedule", "active-vertex computes", "msgs",
-           "wall(s)", "sim(s)"});
+  Table t({"variant", "active-vertex computes", "msgs", "wall(s)",
+           "sim(s)"});
 
-  struct Config {
-    const char* name;
-    bool halts;
-    pregel::ScheduleMode mode;
-  };
-  const Config configs[] = {
-      {"ΔV no-halts", false, pregel::ScheduleMode::kScanAll},
-      {"ΔV halts", true, pregel::ScheduleMode::kScanAll},
-      {"ΔV halts", true, pregel::ScheduleMode::kWorkQueue},
-  };
-
-  for (const auto& c : configs) {
+  for (const bool halts : {false, true}) {
     dv::CompileOptions copts;
-    copts.insert_halts = c.halts;
+    copts.insert_halts = halts;
     const auto cp = dv::compile(dv::programs::kPageRank, copts);
     dv::DvRunOptions o;
     o.engine = bench::paper_engine(workers);
-    o.engine.schedule = c.mode;
     o.params = params;
     Timer timer;
     const auto r = dv::run_program(cp, g, o);
@@ -56,9 +43,7 @@ int main(int argc, char** argv) {
     std::uint64_t active = 0;
     for (const auto& s : r.stats.supersteps) active += s.active_vertices;
     t.row()
-        .cell(c.name)
-        .cell(c.mode == pregel::ScheduleMode::kScanAll ? "scan-all"
-                                                       : "work-queue")
+        .cell(halts ? "ΔV halts" : "ΔV no-halts")
         .cell(static_cast<unsigned long long>(active))
         .cell(static_cast<unsigned long long>(
             r.stats.total_messages_sent()))
@@ -67,9 +52,7 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   std::cout <<
-      "\nShape checks: halts cut active-vertex computes once ranks start\n"
-      "converging (messages are identical across variants); the work-queue\n"
-      "scheduler removes the per-superstep full scan the paper's §9 calls\n"
-      "out.\n";
+      "\nShape check: halts cut active-vertex computes once ranks start\n"
+      "converging (messages are identical across variants).\n";
   return 0;
 }

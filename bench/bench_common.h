@@ -10,11 +10,14 @@
 //   sim(s)   — simulated 8×m4.xlarge/750Mbps cluster time (net::ClusterModel)
 //              = local compute + modeled cross-machine communication;
 //   msgs     — messages sent by compute() (pre-combining);
+//   folds    — Δ-contributions the atomic fold path folded straight into
+//              receiver accumulators instead of sending (0 for Pregel+);
 //   MB       — logical wire bytes of those messages.
 //
-// Message and byte counts are exact and hardware-independent; they are the
-// paper's Figure-4-right/Figure-5 quantities. Times reproduce the *shape*
-// (who wins, roughly by how much), not the absolute EC2 numbers.
+// Message, fold and byte counts are exact and hardware-independent;
+// msgs + folds is the paper's Figure-4-right/Figure-5 quantity. Times
+// reproduce the *shape* (who wins, roughly by how much), not the absolute
+// EC2 numbers.
 #pragma once
 
 #include <algorithm>
@@ -42,9 +45,14 @@ struct Metrics {
   double wall_seconds = 0;
   double sim_seconds = 0;
   std::uint64_t messages = 0;
+  std::uint64_t folds = 0;
   std::uint64_t bytes = 0;
   std::size_t supersteps = 0;
   std::size_t state_bytes = 0;
+
+  /// Every contribution a vertex made, sent as a message or folded in
+  /// place — what the paper counts as a message.
+  std::uint64_t contributions() const { return messages + folds; }
 };
 
 inline Metrics from_stats(const pregel::RunStats& stats,
@@ -92,6 +100,7 @@ inline Metrics run_dv(const dv::CompiledProgram& cp,
                    << dv::exec_tier_name(result.tier_used)
                    << "': " << result.native_fallback);
   Metrics m = from_stats(result.stats, t.elapsed_seconds());
+  m.folds = result.atomic_folds;
   m.state_bytes = cp.state_bytes();
   return m;
 }
@@ -121,7 +130,8 @@ Metrics averaged(int reps, Fn&& fn) {
   Metrics acc = fn();
   for (int i = 1; i < reps; ++i) {
     const Metrics m = fn();
-    DV_CHECK_MSG(m.messages == acc.messages && m.bytes == acc.bytes,
+    DV_CHECK_MSG(m.messages == acc.messages && m.folds == acc.folds &&
+                     m.bytes == acc.bytes,
                  "nondeterministic message counts across repetitions");
     acc.wall_seconds = std::min(acc.wall_seconds, m.wall_seconds);
     acc.sim_seconds = std::min(acc.sim_seconds, m.sim_seconds);
@@ -140,13 +150,14 @@ inline void add_row(Table& table, const std::string& graph,
       .cell(m.wall_seconds, 3)
       .cell(m.sim_seconds, 3)
       .cell(static_cast<unsigned long long>(m.messages))
+      .cell(static_cast<unsigned long long>(m.folds))
       .cell(static_cast<double>(m.bytes) / 1e6, 2)
       .cell(static_cast<unsigned long long>(m.supersteps));
 }
 
 inline Table make_metrics_table() {
   return Table({"graph", "algorithm", "system", "tier", "wall(s)", "sim(s)",
-                "msgs", "MB", "supersteps"});
+                "msgs", "folds", "MB", "supersteps"});
 }
 
 /// Machine-readable benchmark output (`--json <path>`): one object per
@@ -189,7 +200,8 @@ class JsonReport {
           << "\", \"tier\": \"" << r.tier << "\", \"wall_seconds\": "
           << std::setprecision(6) << m.wall_seconds
           << ", \"sim_seconds\": " << m.sim_seconds
-          << ", \"messages\": " << m.messages << ", \"bytes\": " << m.bytes
+          << ", \"messages\": " << m.messages << ", \"folds\": " << m.folds
+          << ", \"bytes\": " << m.bytes
           << ", \"supersteps\": " << m.supersteps
           << ", \"state_bytes\": " << m.state_bytes;
       if (!r.fold.empty()) out << ", \"fold_path\": \"" << r.fold << "\"";

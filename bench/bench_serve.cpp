@@ -99,7 +99,6 @@ dv::serve::HostOptions host_options(int workers, bool force_cold,
                                     std::size_t queue_limit) {
   dv::serve::HostOptions o;
   o.session.run.engine = bench::paper_engine(workers);
-  o.session.run.engine.schedule = pregel::ScheduleMode::kWorkQueue;
   o.session.force_cold = force_cold;
   o.commit_window_ms = commit_window_ms;
   // A bound well below the stream length matters: with an unbounded queue
@@ -164,6 +163,7 @@ ServeMetrics run_serve(
   m.base.wall_seconds = drain_seconds;
   m.base.supersteps = s.supersteps;
   m.base.messages = s.messages;
+  m.base.folds = s.atomic_folds;
   m.base.state_bytes = cp.state_bytes();
   m.epochs = s.epochs_committed;
   m.batches = s.batches_admitted;
@@ -342,6 +342,7 @@ int main(int argc, char** argv) {
             << "\", \"tier\": \"vm\", \"wall_seconds\": "
             << std::setprecision(6) << wall << ", \"sim_seconds\": 0"
             << ", \"messages\": " << (sm ? sm->base.messages : 0)
+            << ", \"folds\": " << (sm ? sm->base.folds : 0)
             << ", \"bytes\": 0"
             << ", \"supersteps\": " << (sm ? sm->base.supersteps : 0)
             << ", \"state_bytes\": " << cp.state_bytes();

@@ -225,11 +225,6 @@ bench::Metrics run_stream(const StreamWorkload& w, dv::ExecTier tier,
   so.minmax_memo_k = memo_k;
   so.run.engine = bench::paper_engine(workers);
   so.run.params = w.params;
-  // Warm epochs wake a handful of vertices; the work-queue scheduler is
-  // the streaming-appropriate choice (§9 halt-by-default) and applies to
-  // every fold path alike. The differential fuzzer pins schedule modes
-  // against each other, so this changes cost, never results.
-  so.run.engine.schedule = pregel::ScheduleMode::kWorkQueue;
   so.run.tier = tier;
   so.run.collector = collector;
   so.run.fold_path = fold;
@@ -245,6 +240,7 @@ bench::Metrics run_stream(const StreamWorkload& w, dv::ExecTier tier,
     const dv::streaming::SessionEpoch ep = s->apply(b);
     m.supersteps += ep.stats.supersteps;
     m.messages += ep.stats.messages;
+    m.folds += ep.stats.atomic_folds;
     if (warm_epochs && ep.warm) ++*warm_epochs;
   }
   m.wall_seconds = t.elapsed_seconds();

@@ -6,6 +6,7 @@
 //
 //   dvc --program=pagerank --emit=ast            # transformed program
 //   dvc --file=my.dv --emit=layout               # Table-2-style state size
+//   dvc --program=pagerank --emit=native         # native-tier C++ unit
 //   dvc --program=sssp --run --dataset=wikipedia-s --scale=0.01 ...
 //       --param=source=0
 //   dvc --file=my.dv --variant=dvstar --run --edges=graph.el --directed
@@ -14,7 +15,7 @@
 #include <sstream>
 
 #include "common/args.h"
-#include "dv/codegen/cpp_backend.h"
+#include "dv/codegen/native_emit.h"
 #include "dv/compiler.h"
 #include "dv/obs/report.h"
 #include "dv/programs/programs.h"
@@ -79,9 +80,7 @@ int main(int argc, char** argv) {
         "variant", "dv", "dv (incrementalized) | dvstar | naive");
     const std::string emit = args.get_string(
         "emit", "summary",
-        "summary | ast | layout | sites | warnings | cpp | bytecode");
-    const std::string cpp_class = args.get_string(
-        "class", "DvProgram", "class name for --emit=cpp");
+        "summary | ast | layout | sites | warnings | bytecode | native");
     const double epsilon =
         args.get_double("epsilon", 0.0, "ϵ-slop (requires variant=dv)");
     const bool do_run = args.get_bool("run", false, "execute the program");
@@ -147,8 +146,11 @@ int main(int argc, char** argv) {
     for (const auto& w : cp.diagnostics.warnings())
       std::cerr << "dvc: " << w << "\n";
 
-    if (emit == "cpp") {
-      std::cout << dv::emit_cpp(cp, cpp_class);
+    if (emit == "native") {
+      const dv::native::NativeUnit unit = dv::native::emit_native_unit(cp);
+      DV_CHECK_MSG(unit.unsupported.empty(),
+                   "no native unit: " << unit.unsupported);
+      std::cout << unit.source;
     } else if (emit == "bytecode") {
       std::cout << dv::to_string(dv::lower_program(cp));
     } else if (emit == "ast") {

@@ -2,17 +2,14 @@
 // translation unit implementing every evaluation root as straight-line
 // code over the native C ABI (native_abi.h).
 //
-// Where cpp_backend.h emits an *offline*, human-facing vertex program
-// (its own engine loop, its own message struct), this emitter produces
-// the runtime tier's object: the emitted functions are drop-in
-// replacements for the tree walker's eval() on the exact root set the
-// bytecode VM compiles (init, statement bodies, until clauses, per-site
-// send expressions), called by the runner through dlopen-ed function
-// pointers with the same EvalContext-shaped state. Bit-exactness against
-// the interpreter is the contract — every coercion, short-circuit,
-// Δ-synthesis rule, suppression decision and observability count below
-// mirrors runtime/interpreter.cpp line for line, and the differential
-// fuzzer's tier axis enforces it.
+// The emitted functions are drop-in replacements for the tree walker's
+// eval() on the exact root set the bytecode VM compiles (init, statement
+// bodies, until clauses, per-site send expressions), called by the runner
+// through dlopen-ed function pointers with the same EvalContext-shaped
+// state. Bit-exactness against the interpreter is the contract — every
+// coercion, short-circuit, Δ-synthesis rule, suppression decision and
+// observability count below mirrors runtime/interpreter.cpp line for line,
+// and the differential fuzzer's tier axis enforces it.
 #pragma once
 
 #include <string>

@@ -1790,6 +1790,7 @@ class DvRunner::Impl {
     r.stats = engine_->stats();
     r.supersteps = supersteps_;
     r.iterations = iterations_;
+    r.atomic_folds = atomic_folds_total_;
     // Copied, not moved: the runner keeps executing (streaming epochs
     // snapshot the state after every batch).
     r.state = state_;

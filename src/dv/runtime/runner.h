@@ -145,6 +145,10 @@ struct DvRunResult {
   pregel::RunStats stats;
   std::size_t supersteps = 0;
   std::vector<std::size_t> iterations;  // per statement
+  /// Δ-contributions folded lock-free into receiver accumulators (the
+  /// atomic fold path) over this runner's lifetime. Each stands in for a
+  /// message that never enters the engine, so stats counts omit them.
+  std::uint64_t atomic_folds = 0;
 
   /// The tier that actually executed. Equals the requested tier except
   /// when --tier=native fell back to the VM; `native_fallback` then names

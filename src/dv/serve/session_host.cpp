@@ -114,6 +114,7 @@ void SessionHost::publish_epoch(double epoch_seconds,
     (ep->warm ? stats_.warm_epochs : stats_.cold_epochs)++;
     stats_.supersteps += ep->stats.supersteps;
     stats_.messages += ep->stats.messages;
+    stats_.atomic_folds += ep->stats.atomic_folds;
     stats_.epoch_seconds_sum += epoch_seconds;
     if (coalesced > stats_.max_coalesced) stats_.max_coalesced = coalesced;
     if (coalesced > 1) stats_.batches_coalesced += coalesced - 1;

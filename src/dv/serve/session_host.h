@@ -98,6 +98,7 @@ struct HostStats {
   std::size_t queue_depth = 0;        // sampled now, not cumulative
   std::size_t supersteps = 0;         // summed over committed epochs
   std::uint64_t messages = 0;
+  std::uint64_t atomic_folds = 0;     // lock-free folds, summed likewise
   std::size_t checkpoints = 0;
   std::size_t vertices = 0;           // as of the last published epoch
   std::size_t arcs = 0;

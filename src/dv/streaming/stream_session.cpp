@@ -19,7 +19,9 @@ namespace {
 /// v2: SuperstepStats gained vertices_halted/vertices_woken.
 /// v3: runner snapshots gained the kSecRetract section (min/max
 ///     retraction memos, DESIGN.md §11).
-constexpr std::uint32_t kFormatVersion = 3;
+/// v4: the meta section lost its schedule-mode byte (the work queue is the
+///     engine's only scheduler).
+constexpr std::uint32_t kFormatVersion = 4;
 
 std::uint64_t value_payload_bits(const Value& v) {
   switch (v.type) {
@@ -240,7 +242,6 @@ persist::SnapshotWriter DvStreamSession::build_snapshot() const {
   const pregel::EngineOptions& eng = options_.run.engine;
   w.put_u32(static_cast<std::uint32_t>(eng.num_workers));
   w.put_u8(static_cast<std::uint8_t>(eng.partition));
-  w.put_u8(static_cast<std::uint8_t>(eng.schedule));
   w.put_bool(eng.use_combiner);
   w.put_bool(options_.run.use_combiner);
   w.put_u64(epoch_);
@@ -305,9 +306,6 @@ std::unique_ptr<DvStreamSession> DvStreamSession::restore_bytes(
   }
   if (r.get_u8() != static_cast<std::uint8_t>(eng.partition)) {
     mismatch("partition scheme differs");
-  }
-  if (r.get_u8() != static_cast<std::uint8_t>(eng.schedule)) {
-    mismatch("schedule mode differs");
   }
   if (r.get_bool() != eng.use_combiner) {
     mismatch("engine combiner setting differs");

@@ -151,9 +151,9 @@ class DvStreamSession {
 
   /// Rebuilds a session from a snapshot. `cp` and `options` must match
   /// the saving session's program and engine configuration (worker count,
-  /// partition, schedule, combiner) — the snapshot records both and
-  /// restore refuses a mismatch, since bit-exact continuation is only
-  /// defined under the determinism contract's fixed configuration. The
+  /// partition, combiner) — the snapshot records both and restore refuses
+  /// a mismatch, since bit-exact continuation is only defined under the
+  /// determinism contract's fixed configuration. The
   /// execution tier may differ (tiers are bit-identical by contract).
   /// Throws persist::SnapshotError on any damage or mismatch; never
   /// restores silently wrong state.

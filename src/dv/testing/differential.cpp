@@ -7,7 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "dv/codegen/cpp_backend.h"
 #include "dv/codegen/native_module.h"
 #include "dv/compiler.h"
 #include "dv/passes/verifier.h"
@@ -56,24 +55,6 @@ std::string show(const Value& v) {
   return os.str();
 }
 
-/// Worker-count axis doubles as a schedule/partition axis: even counts run
-/// the work-queue scheduler over a hash partition, odd counts the scan-all
-/// scheduler over a block partition, so one case covers both code paths
-/// deterministically (the pairing is a pure function of the count, which
-/// keeps saved corpus cases replayable).
-pregel::EngineOptions engine_for(int workers) {
-  pregel::EngineOptions o;
-  o.num_workers = workers;
-  const bool even = workers % 2 == 0;
-  o.partition =
-      even ? pregel::PartitionScheme::kHash : pregel::PartitionScheme::kBlock;
-  o.schedule =
-      even ? pregel::ScheduleMode::kWorkQueue : pregel::ScheduleMode::kScanAll;
-  o.cluster.machines = 2;
-  o.cluster.workers_per_machine = 2;
-  return o;
-}
-
 /// Reconstructed receiver state for one (vertex, site) message stream.
 struct StreamAcc {
   Value acc;
@@ -90,7 +71,7 @@ struct ProbeState {
 DvRunOptions base_run_options(const FuzzCase& fc, const DiffOptions& opts,
                               int workers) {
   DvRunOptions ro;
-  ro.engine = engine_for(workers);
+  ro.engine = fuzz_engine_options(workers);
   ro.params = fc.params;
   ro.max_supersteps = opts.max_supersteps;
   return ro;
@@ -119,6 +100,16 @@ std::string diff_runs(const DvRunResult& vm, const DvRunResult& tree) {
 
 }  // namespace
 
+pregel::EngineOptions fuzz_engine_options(int workers) {
+  pregel::EngineOptions o;
+  o.num_workers = workers;
+  o.partition = workers % 2 == 0 ? pregel::PartitionScheme::kHash
+                                 : pregel::PartitionScheme::kBlock;
+  o.cluster.machines = 2;
+  o.cluster.workers_per_machine = 2;
+  return o;
+}
+
 std::optional<DiffFailure> check_case(const FuzzCase& fc,
                                       const DiffOptions& opts) {
   CompiledProgram dv_cp, star_cp;
@@ -138,18 +129,6 @@ std::optional<DiffFailure> check_case(const FuzzCase& fc,
     verify_program(star_cp.program, VerifyStage::kFinal);
   } catch (const std::exception& e) {
     return DiffFailure{"verifier", e.what()};
-  }
-
-  if (opts.check_codegen && dv_cp.program.stmts.size() == 1) {
-    try {
-      const std::string dv_cpp = emit_cpp(dv_cp, "FuzzDv");
-      const std::string star_cpp = emit_cpp(star_cp, "FuzzDvStar");
-      if (dv_cpp.find("FuzzDv") == std::string::npos ||
-          star_cpp.find("FuzzDvStar") == std::string::npos)
-        return DiffFailure{"codegen", "emitted unit lacks the class name"};
-    } catch (const std::exception& e) {
-      return DiffFailure{"codegen", e.what()};
-    }
   }
 
   const graph::CsrGraph g = fc.graph.build();

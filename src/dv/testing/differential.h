@@ -6,7 +6,6 @@
 //
 //   compile      both variants compile; the final-stage verifier accepts
 //                both ASTs
-//   codegen      single-statement programs survive the C++ backend
 //   values       user-visible vertex state agrees between ΔV and ΔV*
 //                (and between worker counts, for the ΔV variant)
 //   meaningful   every live ΔV message is meaningful (Definition 1):
@@ -27,6 +26,7 @@
 #include <string>
 
 #include "dv/testing/program_gen.h"
+#include "pregel/engine.h"
 
 namespace deltav::dv::testing {
 
@@ -36,7 +36,6 @@ struct DiffOptions {
   /// ΔV product accumulator multiplies ratios instead of raw values.
   double float_tol = 1e-6;
   std::size_t max_supersteps = 5000;
-  bool check_codegen = true;
   bool check_eq11 = true;
   bool check_message_counts = true;
   bool check_determinism = true;
@@ -64,6 +63,13 @@ struct DiffFailure {
   std::string check;   // which property failed (names above)
   std::string detail;  // human-readable evidence
 };
+
+/// Engine configuration for a fuzz run with `workers` workers. The
+/// worker-count axis doubles as the partition axis — even counts hash,
+/// odd counts block — so one case covers both schemes deterministically
+/// (the pairing is a pure function of the count, which keeps saved corpus
+/// cases replayable). Every fuzz family uses it.
+pregel::EngineOptions fuzz_engine_options(int workers);
 
 /// Runs every check; returns the first failure, or nullopt when the case
 /// passes. Never throws for program-level misbehaviour — compile/run

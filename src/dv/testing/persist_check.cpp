@@ -41,20 +41,6 @@ std::string show(const Value& v) {
   return os.str();
 }
 
-/// Same worker ↔ scheduler/partition pairing as differential.cpp.
-pregel::EngineOptions engine_for(int workers) {
-  pregel::EngineOptions o;
-  o.num_workers = workers;
-  const bool even = workers % 2 == 0;
-  o.partition =
-      even ? pregel::PartitionScheme::kHash : pregel::PartitionScheme::kBlock;
-  o.schedule =
-      even ? pregel::ScheduleMode::kWorkQueue : pregel::ScheduleMode::kScanAll;
-  o.cluster.machines = 2;
-  o.cluster.workers_per_machine = 2;
-  return o;
-}
-
 /// Bit-exact comparison of the complete state vector (every field,
 /// including compiler-internal accumulators and memos — restore
 /// equivalence is stronger than user-visible value agreement).
@@ -132,7 +118,7 @@ std::optional<DiffFailure> check_persist_case(const StreamCase& sc, Rng& rng,
 
     const auto session_options = [&](ExecTier tier) {
       streaming::SessionOptions so;
-      so.run.engine = engine_for(opts.workers);
+      so.run.engine = fuzz_engine_options(opts.workers);
       so.run.tier = tier;
       so.run.params = sc.params;
       return so;

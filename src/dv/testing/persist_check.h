@@ -31,7 +31,7 @@
 namespace deltav::dv::testing {
 
 struct PersistCheckOptions {
-  /// Engine worker count (differential.cpp's worker ↔ scheduler pairing).
+  /// Engine worker count (fuzz_engine_options' worker ↔ partition pairing).
   int workers = 4;
   /// Mid-convergence checkpoint cadence for the reference session.
   std::size_t checkpoint_every = 2;

@@ -146,19 +146,6 @@ std::string show(const Value& v) {
   return os.str();
 }
 
-/// Same worker-count → scheduler/partition pairing as the classic harness
-/// (differential.cpp), so a remote soak sweeps the same engine code paths.
-pregel::EngineOptions engine_for(int workers) {
-  pregel::EngineOptions o;
-  o.num_workers = workers;
-  const bool even = workers % 2 == 0;
-  o.partition =
-      even ? pregel::PartitionScheme::kHash : pregel::PartitionScheme::kBlock;
-  o.schedule =
-      even ? pregel::ScheduleMode::kWorkQueue : pregel::ScheduleMode::kScanAll;
-  return o;
-}
-
 /// Bit-level equivalence of two runs of the same compiled program.
 std::string diff_runs(const DvRunResult& a, const DvRunResult& b) {
   if (a.supersteps != b.supersteps)
@@ -221,7 +208,7 @@ std::optional<DiffFailure> check_remote_case(const RemoteCase& rc,
   const auto run = [&](const CompiledProgram& cp, ExecTier tier, int workers,
                        DvRunResult& out) -> std::string {
     DvRunOptions ro;
-    ro.engine = engine_for(workers);
+    ro.engine = fuzz_engine_options(workers);
     ro.max_supersteps = opts.max_supersteps;
     ro.tier = tier;
     try {

@@ -323,20 +323,6 @@ std::string show(const Value& v) {
   return os.str();
 }
 
-/// Same worker ↔ scheduler/partition pairing as differential.cpp.
-pregel::EngineOptions engine_for(int workers) {
-  pregel::EngineOptions o;
-  o.num_workers = workers;
-  const bool even = workers % 2 == 0;
-  o.partition =
-      even ? pregel::PartitionScheme::kHash : pregel::PartitionScheme::kBlock;
-  o.schedule =
-      even ? pregel::ScheduleMode::kWorkQueue : pregel::ScheduleMode::kScanAll;
-  o.cluster.machines = 2;
-  o.cluster.workers_per_machine = 2;
-  return o;
-}
-
 /// User-visible fields of `got` vs `want`, matched by name.
 std::string compare_user_fields(const DvRunResult& got,
                                 const DvRunResult& want, double tol) {
@@ -517,7 +503,7 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
     const graph::CsrGraph base = sc.graph.build();
     const auto opts_for = [&](ExecTier tier) {
       streaming::SessionOptions so;
-      so.run.engine = engine_for(opts.workers);
+      so.run.engine = fuzz_engine_options(opts.workers);
       so.run.tier = tier;
       so.run.params = sc.params;
       so.minmax_memo_k = sc.memo_k;
@@ -552,7 +538,7 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
     const auto oracle_state = [&](const streaming::DvStreamSession& s,
                                   ExecTier tier) {
       DvRunOptions o;
-      o.engine = engine_for(opts.workers);
+      o.engine = fuzz_engine_options(opts.workers);
       o.tier = tier;
       o.params = sc.params;
       return run_program(cp_star, s.graph().materialize(), o);

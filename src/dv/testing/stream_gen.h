@@ -79,8 +79,8 @@ std::string describe(const StreamCase& sc);
 
 struct StreamDiffOptions {
   double float_tol = 1e-6;
-  /// Engine worker count for the sessions (differential.cpp's worker ↔
-  /// scheduler pairing applies).
+  /// Engine worker count for the sessions (fuzz_engine_options' worker ↔
+  /// partition pairing applies).
   int workers = 4;
   /// Also run a tree-interpreter session and require bit-identical state
   /// and equal superstep counts after every batch.

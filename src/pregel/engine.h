@@ -22,6 +22,20 @@
 // An inline superstep (step(fn, true)) runs the same per-worker phases
 // one after another on the caller's thread, without waking the pool.
 //
+// Scheduling: halt-by-default (§6.6 of the paper) with the per-worker work
+// queues §9 proposes in place of stock Pregel+'s per-superstep scan. Each
+// worker queues the vertices that run at the next superstep: a vertex is
+// queued when it wakes (a delivered message, activate(), activate_all())
+// and when its compute call does not vote to halt. The invariant, between
+// supersteps:
+//   each worker's queue holds every live (unhalted, undeleted) vertex it
+//   owns exactly once, and nothing else but vertices deleted since they
+//   were queued, which compute drops.
+// For an undeleted vertex "unhalted" and "queued" are therefore the same
+// fact, so halt flags are the only per-vertex schedule state. Everything
+// that touches the schedule costs O(frontier), not O(|V|): halt_all()
+// walks the queues rather than the flag array.
+//
 // Determinism: given a fixed worker count and partition scheme, message
 // delivery order per vertex is fixed (senders visited in worker order, each
 // buffer in generation order), so floating-point reductions reproduce
@@ -64,23 +78,12 @@ struct MessageTraits {
 /// Tag type: no combiner; every message is delivered as sent.
 struct NoCombiner {};
 
-enum class ScheduleMode {
-  /// Every superstep scans all owned vertices and skips halted ones —
-  /// what stock Pregel+ does (§9 of the paper calls out its cost).
-  kScanAll,
-  /// Maintains an explicit per-worker queue of runnable vertices, fed by
-  /// message deliveries and non-halting vertices — the paper's proposed
-  /// halt-by-default scheduler (future work §9; our ablation A3).
-  kWorkQueue,
-};
-
 struct EngineOptions {
   int num_workers = 4;
   PartitionScheme partition = PartitionScheme::kBlock;
   /// Applies only when a combiner type is supplied; lets benches toggle
   /// combining without changing types.
   bool use_combiner = true;
-  ScheduleMode schedule = ScheduleMode::kScanAll;
   /// Simulated deployment used for cross-machine byte accounting. Engine
   /// workers are block-mapped onto the model's machines.
   net::ClusterConfig cluster;
@@ -127,8 +130,7 @@ class Engine {
         cluster_(options.cluster),
         pool_(options.num_workers),
         halted_(num_vertices, 0),
-        deleted_(num_vertices, 0),
-        scheduled_(num_vertices, 0) {
+        deleted_(num_vertices, 0) {
     DV_CHECK(options.num_workers >= 1);
     const int w = options.num_workers;
     if constexpr (kHasCombiner && kHasSubkey<Combiner>) {
@@ -159,12 +161,8 @@ class Engine {
       ws.unhalted = partition_.count(i);
       ws.cross_in_from.assign(
           static_cast<std::size_t>(options.cluster.machines), 0);
-      if (options.schedule == ScheduleMode::kWorkQueue) {
-        partition_.for_each_owned(i, [&](VertexId v) {
-          ws.queue.push_back(v);
-          scheduled_[v] = 1;
-        });
-      }
+      partition_.for_each_owned(i,
+                                [&](VertexId v) { ws.queue.push_back(v); });
     }
   }
 
@@ -312,21 +310,15 @@ class Engine {
     for (int w = 0; w < options_.num_workers; ++w) {
       auto& ws = workers_[static_cast<std::size_t>(w)];
       ws.unhalted = 0;
-      // Existing queue entries are exactly the vertices with scheduled_
-      // set (e.g. by a message delivered last superstep); keep them and
-      // append only the unscheduled rest, so every live vertex is queued
-      // exactly once. Clearing the queue here would strand any
-      // already-scheduled vertex: its flag stays set, so the loop below
-      // would never re-queue it.
+      // Unhalted vertices (e.g. woken by a message delivered last
+      // superstep) are already queued; append only the halted rest, so
+      // every live vertex is queued exactly once.
       partition_.for_each_owned(w, [&](VertexId v) {
         if (deleted_[v]) return;
-        halted_[v] = 0;
         ++ws.unhalted;
-        if (options_.schedule == ScheduleMode::kWorkQueue &&
-            !scheduled_[v]) {
-          ws.queue.push_back(v);
-          scheduled_[v] = 1;
-        }
+        if (!halted_[v]) return;
+        halted_[v] = 0;
+        ws.queue.push_back(v);
       });
     }
   }
@@ -340,10 +332,7 @@ class Engine {
     halted_[v] = 0;
     auto& ws = workers_[static_cast<std::size_t>(partition_.owner(v))];
     ++ws.unhalted;
-    if (options_.schedule == ScheduleMode::kWorkQueue && !scheduled_[v]) {
-      ws.queue.push_back(v);
-      scheduled_[v] = 1;
-    }
+    ws.queue.push_back(v);
   }
 
   /// Permanently removes a vertex from the computation: it never computes
@@ -373,7 +362,7 @@ class Engine {
   }
 
   /// Extends capacity to `new_num_vertices` (streaming vertex additions).
-  /// New vertices start halted, undeleted, and unscheduled; existing
+  /// New vertices start halted, undeleted, and unqueued; existing
   /// halt/delete flags are preserved. The partition function depends on
   /// |V| — block ownership shifts as ranges stretch, and hash local
   /// numbering is recomputed — so every per-worker structure keyed by
@@ -391,7 +380,6 @@ class Engine {
                                  options_.partition);
     halted_.resize(new_num_vertices, 1);
     deleted_.resize(new_num_vertices, 0);
-    scheduled_.assign(new_num_vertices, 0);
     const int W = options_.num_workers;
     // Re-gate dense combining against the new slot count; a growing graph
     // can cross the cap, falling back to the hash maps.
@@ -426,10 +414,7 @@ class Engine {
       partition_.for_each_owned(i, [&](VertexId v) {
         if (deleted_[v] || halted_[v]) return;
         ++ws.unhalted;
-        if (options_.schedule == ScheduleMode::kWorkQueue) {
-          ws.queue.push_back(v);
-          scheduled_[v] = 1;
-        }
+        ws.queue.push_back(v);
       });
     }
   }
@@ -437,7 +422,7 @@ class Engine {
   /// Execution state captured at a superstep boundary. Outboxes, combine
   /// maps and dense slots are empty there by construction, so the only
   /// state that carries across the boundary is: halt/delete flags, the
-  /// work queues (their order IS the kWorkQueue compute order, which fixes
+  /// work queues (a sparse round computes in queue order, which fixes
   /// message emission order — a bit-exact restore must reproduce it
   /// verbatim), the pending inboxes (per worker, in per-vertex delivery
   /// order), and the superstep counter. The stats history also carries
@@ -448,7 +433,7 @@ class Engine {
     std::size_t superstep = 0;
     std::vector<std::uint8_t> halted;
     std::vector<std::uint8_t> deleted;
-    /// Per worker; empty under kScanAll.
+    /// Per worker, in queue order; holds every live vertex exactly once.
     std::vector<std::vector<VertexId>> queues;
     /// Per worker: undelivered messages as (destination, message), grouped
     /// by destination in owner iteration order, each group in delivery
@@ -486,12 +471,13 @@ class Engine {
   }
 
   /// Restores a checkpoint taken by an engine with the same configuration
-  /// (vertex count, worker count, partition scheme, schedule mode) —
-  /// bit-exact continuation is only defined under identical configuration,
-  /// since the partition fixes message routing and delivery order.
-  /// scheduled_ and unhalted are derived, not stored: they are recomputed
-  /// from the queues and flags. `stats` is the history as of the
-  /// checkpoint.
+  /// (vertex count, worker count, partition scheme) — bit-exact
+  /// continuation is only defined under identical configuration, since the
+  /// partition fixes message routing and delivery order. The unhalted
+  /// counts are derived, not stored: they are recomputed from the flags. A
+  /// checkpoint is outside input, so one that breaks the scheduling
+  /// invariant (see the file comment) is refused by name.
+  /// `stats` is the history as of the checkpoint.
   void restore(Checkpoint&& c, RunStats&& stats) {
     DV_CHECK_MSG(c.num_vertices == partition_.num_vertices(),
                  "checkpoint |V| mismatch");
@@ -503,25 +489,30 @@ class Engine {
                  "checkpoint worker count mismatch");
     halted_ = std::move(c.halted);
     deleted_ = std::move(c.deleted);
-    std::fill(scheduled_.begin(), scheduled_.end(), std::uint8_t{0});
+    std::vector<std::uint8_t> queued(c.num_vertices, 0);
     superstep_ = c.superstep;
     stats_ = std::move(stats);
     for (std::size_t w = 0; w < W; ++w) {
       auto& ws = workers_[w];
       ws.queue = std::move(c.queues[w]);
       ws.next_queue.clear();
-      DV_CHECK_MSG(ws.queue.empty() ||
-                       options_.schedule == ScheduleMode::kWorkQueue,
-                   "checkpoint has work queues but schedule is scan-all");
       for (const VertexId v : ws.queue) {
         DV_CHECK_MSG(v < c.num_vertices &&
                          partition_.owner(v) == static_cast<int>(w),
                      "checkpoint queue entry owned by a different worker");
-        scheduled_[v] = 1;
+        DV_CHECK_MSG(!queued[v], "checkpoint queues vertex " << v << " twice");
+        DV_CHECK_MSG(!halted_[v] || deleted_[v],
+                     "checkpoint queues halted vertex " << v);
+        queued[v] = 1;
       }
       ws.unhalted = 0;
       partition_.for_each_owned(static_cast<int>(w), [&](VertexId v) {
-        if (!halted_[v]) ++ws.unhalted;
+        if (halted_[v]) return;
+        DV_CHECK_MSG(!deleted_[v],
+                     "checkpoint has deleted vertex " << v << " unhalted");
+        DV_CHECK_MSG(queued[v],
+                     "checkpoint leaves live vertex " << v << " unqueued");
+        ++ws.unhalted;
       });
       // Rebuild the inbox CSR from the (destination, message) list; the
       // per-destination groups arrive in delivery order, and the scatter
@@ -548,17 +539,16 @@ class Engine {
   /// Halts every vertex and clears the work queues, so a subsequent
   /// activate() wakes exactly the chosen frontier (streaming epochs: after
   /// convergence the runner wakes only vertices the mutation touched).
-  /// Call between supersteps with no messages in flight.
+  /// Call between supersteps with no messages in flight. O(frontier): by
+  /// the scheduling invariant only queued vertices can be unhalted.
   void halt_all() {
     for (const auto& ws : workers_)
       DV_CHECK_MSG(ws.inbox_data.empty(),
                    "halt_all() with messages in flight");
-    std::fill(halted_.begin(), halted_.end(), std::uint8_t{1});
-    std::fill(scheduled_.begin(), scheduled_.end(), std::uint8_t{0});
     for (auto& ws : workers_) {
-      ws.unhalted = 0;
+      for (const VertexId v : ws.queue) halted_[v] = 1;
       ws.queue.clear();
-      ws.next_queue.clear();
+      ws.unhalted = 0;
     }
   }
 
@@ -591,7 +581,8 @@ class Engine {
     // compute_phase pre-reserves to these so steady-state sends never
     // reallocate mid-superstep.
     std::vector<std::size_t> outbox_hwm;
-    // Work-queue scheduling.
+    // Scheduling: this superstep's queue and the one being built for the
+    // next (swapped by finish_step).
     std::vector<VertexId> queue;
     std::vector<VertexId> next_queue;
     // Owner-local bookkeeping.
@@ -704,24 +695,23 @@ class Engine {
         halted_[v] = 1;
         --ws.unhalted;
         ++ws.halted_count;
-      } else if (options_.schedule == ScheduleMode::kWorkQueue) {
+      } else {
         // Still active next step without needing a message.
-        if (!scheduled_[v]) {
-          scheduled_[v] = 1;
-          ws.next_queue.push_back(v);
-        }
+        ws.next_queue.push_back(v);
       }
     };
 
-    if (options_.schedule == ScheduleMode::kScanAll) {
+    // A sparse frontier runs in queue order. A dense one visits the same
+    // set (the unhalted vertices) by an ascending scan over the owned
+    // vertices: memory order beats delivery order once the queue covers a
+    // sizeable share of the worker, and it is the order a full-scan engine
+    // would use, so dense rounds emit their messages in owner order.
+    if (ws.queue.size() * kDenseFrontierDivisor >= partition_.count(w)) {
       partition_.for_each_owned(w, [&](VertexId v) { run_vertex(v); });
     } else {
-      for (VertexId v : ws.queue) {
-        scheduled_[v] = 0;
-        run_vertex(v);
-      }
-      ws.queue.clear();
+      for (const VertexId v : ws.queue) run_vertex(v);
     }
+    ws.queue.clear();
 
     // Flush combined messages into the outbox so the exchange phase sees
     // one uniform representation.
@@ -813,13 +803,11 @@ class Engine {
           recv.cross_in_from[static_cast<std::size_t>(src_machine)] += bytes;
         }
         if (halted_[e.dst]) {
+          // Unhalted vertices are queued already (they ran this superstep
+          // and did not vote to halt); a woken one joins the queue here.
           halted_[e.dst] = 0;
           ++recv.unhalted;
           ++recv.woken_count;
-        }
-        if (options_.schedule == ScheduleMode::kWorkQueue &&
-            !scheduled_[e.dst]) {
-          scheduled_[e.dst] = 1;
           recv.next_queue.push_back(e.dst);
         }
       }
@@ -856,8 +844,7 @@ class Engine {
       ws.dropped = 0;
       ws.active = 0;
       ws.halted_count = ws.woken_count = 0;
-      if (options_.schedule == ScheduleMode::kWorkQueue)
-        std::swap(ws.queue, ws.next_queue);
+      std::swap(ws.queue, ws.next_queue);
     }
     ss.sim_comm_seconds = cluster_.superstep_seconds(egress_, ingress_);
     stats_.supersteps.push_back(ss);
@@ -885,6 +872,9 @@ class Engine {
 
   static constexpr VertexId kUnsetDst =
       std::numeric_limits<VertexId>::max();
+  /// compute_phase scans instead of walking the queue once the queue holds
+  /// at least 1/kDenseFrontierDivisor of the worker's owned vertices.
+  static constexpr std::size_t kDenseFrontierDivisor = 16;
   /// Upper bound on total dense combine slots (all workers × destination
   /// workers); larger key domains fall back to the hash maps.
   static constexpr std::size_t kDenseCombineSlotCap = std::size_t{1} << 22;
@@ -897,7 +887,6 @@ class Engine {
   WorkerPool pool_;
   std::vector<std::uint8_t> halted_;
   std::vector<std::uint8_t> deleted_;
-  std::vector<std::uint8_t> scheduled_;
   std::vector<WorkerState> workers_;
   RunStats stats_;
   std::size_t superstep_ = 0;

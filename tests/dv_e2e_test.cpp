@@ -279,10 +279,12 @@ TEST(EndToEnd, MaxGossipReachesComponentMaximum) {
 // Robustness across engine configurations
 // ---------------------------------------------------------------------------
 
+// Engine configuration × execution tier: the tree interpreter is the
+// reference semantics, so half the matrix runs it and half the VM.
 struct EngineConfig {
   int workers;
   pregel::PartitionScheme partition;
-  pregel::ScheduleMode schedule;
+  dv::ExecTier tier;
   bool combiner;
 };
 
@@ -296,7 +298,7 @@ TEST_P(EngineMatrixTest, PageRankAgreesEverywhere) {
   dv::DvRunOptions o;
   o.engine.num_workers = cfg.workers;
   o.engine.partition = cfg.partition;
-  o.engine.schedule = cfg.schedule;
+  o.tier = cfg.tier;
   o.use_combiner = cfg.combiner;
   o.params = {{"steps", Value::of_int(19)}};
   const auto result =
@@ -314,7 +316,7 @@ TEST_P(EngineMatrixTest, SsspAgreesEverywhere) {
   dv::DvRunOptions o;
   o.engine.num_workers = cfg.workers;
   o.engine.partition = cfg.partition;
-  o.engine.schedule = cfg.schedule;
+  o.tier = cfg.tier;
   o.use_combiner = cfg.combiner;
   o.params = {{"source", Value::of_int(1)}};
   const auto result =
@@ -325,18 +327,18 @@ TEST_P(EngineMatrixTest, SsspAgreesEverywhere) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, EngineMatrixTest,
     ::testing::Values(
-        EngineConfig{1, pregel::PartitionScheme::kBlock,
-                     pregel::ScheduleMode::kScanAll, true},
-        EngineConfig{2, pregel::PartitionScheme::kBlock,
-                     pregel::ScheduleMode::kScanAll, false},
-        EngineConfig{4, pregel::PartitionScheme::kHash,
-                     pregel::ScheduleMode::kScanAll, true},
-        EngineConfig{4, pregel::PartitionScheme::kBlock,
-                     pregel::ScheduleMode::kWorkQueue, true},
-        EngineConfig{3, pregel::PartitionScheme::kHash,
-                     pregel::ScheduleMode::kWorkQueue, false},
-        EngineConfig{8, pregel::PartitionScheme::kHash,
-                     pregel::ScheduleMode::kWorkQueue, true}));
+        EngineConfig{1, pregel::PartitionScheme::kBlock, dv::ExecTier::kTree,
+                     true},
+        EngineConfig{2, pregel::PartitionScheme::kBlock, dv::ExecTier::kTree,
+                     false},
+        EngineConfig{4, pregel::PartitionScheme::kHash, dv::ExecTier::kTree,
+                     true},
+        EngineConfig{4, pregel::PartitionScheme::kBlock, dv::ExecTier::kVm,
+                     true},
+        EngineConfig{3, pregel::PartitionScheme::kHash, dv::ExecTier::kVm,
+                     false},
+        EngineConfig{8, pregel::PartitionScheme::kHash, dv::ExecTier::kVm,
+                     true}));
 
 }  // namespace
 }  // namespace deltav

@@ -38,7 +38,7 @@ TEST(PersistFuzzSmoke, OddWorkerCountUsesScanAllScheduler) {
   const std::uint64_t seed = test::effective_seed(0x5E55A0DD);
   Rng rng(seed);
   PersistCheckOptions opts;
-  opts.workers = 3;  // kBlock + kScanAll pairing
+  opts.workers = 3;  // odd count: kBlock partition
   for (int k = 0; k < 6; ++k) {
     Rng crng = rng.split();
     const StreamCase sc = generate_stream_case(crng);

@@ -428,12 +428,12 @@ TEST(PersistFault, MismatchedEngineConfigRejected) {
   EXPECT_THROW((void)DvStreamSession::restore_bytes(cp, bytes, workers),
                dv::persist::SnapshotError);
 
-  SessionOptions sched = session_opts();
-  sched.run.engine.schedule =
-      sched.run.engine.schedule == pregel::ScheduleMode::kScanAll
-          ? pregel::ScheduleMode::kWorkQueue
-          : pregel::ScheduleMode::kScanAll;
-  EXPECT_THROW((void)DvStreamSession::restore_bytes(cp, bytes, sched),
+  SessionOptions partition = session_opts();
+  partition.run.engine.partition =
+      partition.run.engine.partition == pregel::PartitionScheme::kBlock
+          ? pregel::PartitionScheme::kHash
+          : pregel::PartitionScheme::kBlock;
+  EXPECT_THROW((void)DvStreamSession::restore_bytes(cp, bytes, partition),
                dv::persist::SnapshotError);
 
   SessionOptions params = session_opts();
@@ -462,20 +462,30 @@ void reseal(std::vector<std::uint8_t>& b) {
   }
 }
 
-/// Offset one past the payload of the section tagged `tag`.
-std::size_t section_end(const std::vector<std::uint8_t>& b,
-                        std::uint32_t tag) {
+/// Offset of the first payload byte of the section tagged `tag`.
+std::size_t section_begin(const std::vector<std::uint8_t>& b,
+                          std::uint32_t tag) {
   std::size_t off = 8;
   while (off < b.size()) {
     std::uint32_t t;
     std::uint64_t len;
     std::memcpy(&t, b.data() + off, 4);
     std::memcpy(&len, b.data() + off + 4, 8);
-    if (t == tag) return off + 12 + static_cast<std::size_t>(len);
+    if (t == tag) return off + 12;
     off += 16 + static_cast<std::size_t>(len);
   }
   ADD_FAILURE() << "section not found";
   return 0;
+}
+
+/// Offset one past the payload of the section tagged `tag`.
+std::size_t section_end(const std::vector<std::uint8_t>& b,
+                        std::uint32_t tag) {
+  const std::size_t at = section_begin(b, tag);
+  if (at == 0) return 0;  // not found (already reported)
+  std::uint64_t len;
+  std::memcpy(&len, b.data() + at - 8, 8);
+  return at + static_cast<std::size_t>(len);
 }
 
 TEST(PersistFault, StatsHistoryOverrunRejected) {
@@ -507,6 +517,36 @@ TEST(PersistFault, StatsHistoryOverrunRejected) {
     FAIL() << "overrunning stats history restored";
   } catch (const dv::persist::SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("'ENGN'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PersistFault, UnqueuedLiveVertexRejected) {
+  // The engine section opens with the superstep (u64), then the halted
+  // and deleted flag arrays (u64 count + one byte per vertex). A halted,
+  // undeleted vertex is never queued, so clearing its halted byte plants
+  // a live vertex that no work queue holds. It would never compute;
+  // restore must refuse the checkpoint by name instead.
+  const auto cp = compile_dv(kFeedback);
+  const auto s = make_stream_session(cp, absorbing_graph(), session_opts());
+  s->converge();
+  std::vector<std::uint8_t> bytes = s->save_bytes();
+  const std::size_t at = section_begin(bytes, dv::persist::kSecEngine) + 8;
+  std::uint64_t n;
+  std::memcpy(&n, bytes.data() + at, 8);
+  ASSERT_EQ(n, 6u) << "halted flags not where the layout puts them";
+  const std::uint8_t* halted = bytes.data() + at + 8;
+  const std::uint8_t* deleted = halted + n + 8;
+  std::size_t v = 0;
+  while (v < n && !(halted[v] && !deleted[v])) ++v;
+  ASSERT_LT(v, n) << "no halted vertex to wake";
+  bytes[at + 8 + v] = 0;
+  reseal(bytes);
+  try {
+    (void)DvStreamSession::restore_bytes(cp, bytes, session_opts());
+    FAIL() << "a live vertex outside every work queue restored";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unqueued"), std::string::npos)
         << e.what();
   }
 }

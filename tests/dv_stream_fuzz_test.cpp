@@ -65,7 +65,7 @@ TEST(StreamFuzzSmoke, OddWorkerCountUsesScanAllScheduler) {
   const std::uint64_t seed = test::effective_seed(0x57AE0DD);
   Rng rng(seed);
   StreamDiffOptions opts;
-  opts.workers = 3;  // kBlock + kScanAll pairing
+  opts.workers = 3;  // odd count: kBlock partition
   for (int k = 0; k < 10; ++k) {
     Rng crng = rng.split();
     const StreamCase sc = generate_stream_case(crng);

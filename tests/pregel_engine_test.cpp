@@ -5,7 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
+#include <limits>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "pregel/engine.h"
 #include "test_util.h"
@@ -398,31 +402,26 @@ RoundTrace trace_rounds(const graph::CsrGraph& g, const EngineOptions& opts,
 template <typename EngineT>
 void expect_inline_matches_threaded(const char* combiner) {
   const auto g = test::small_directed(41);
-  for (const ScheduleMode mode :
-       {ScheduleMode::kScanAll, ScheduleMode::kWorkQueue}) {
-    for (const int workers : {1, 3, 4}) {
-      EngineOptions opts = test::small_engine(workers);
-      opts.schedule = mode;
-      SCOPED_TRACE(::testing::Message()
-                   << combiner << " workers=" << workers << " schedule="
-                   << (mode == ScheduleMode::kScanAll ? "scan" : "queue"));
-      const RoundTrace threaded = trace_rounds<EngineT>(g, opts, false);
-      const RoundTrace inlined = trace_rounds<EngineT>(g, opts, true);
-      EXPECT_EQ(inlined.counters, threaded.counters);
-      EXPECT_EQ(inlined.sim_comm_seconds, threaded.sim_comm_seconds);
-      EXPECT_EQ(inlined.delivered, threaded.delivered);
-      EXPECT_EQ(inlined.halted, threaded.halted);
-      EXPECT_EQ(inlined.deleted, threaded.deleted);
-      EXPECT_EQ(inlined.values, threaded.values);
-      // The computation must actually exercise the paths it compares.
-      std::uint64_t dropped = 0, delivered = 0;
-      for (const auto& c : threaded.counters) {
-        delivered += c[1];
-        dropped += c[2];
-      }
-      EXPECT_GT(delivered, 0u);
-      EXPECT_GT(dropped, 0u);
+  for (const int workers : {1, 3, 4}) {
+    const EngineOptions opts = test::small_engine(workers);
+    SCOPED_TRACE(::testing::Message()
+                 << combiner << " workers=" << workers);
+    const RoundTrace threaded = trace_rounds<EngineT>(g, opts, false);
+    const RoundTrace inlined = trace_rounds<EngineT>(g, opts, true);
+    EXPECT_EQ(inlined.counters, threaded.counters);
+    EXPECT_EQ(inlined.sim_comm_seconds, threaded.sim_comm_seconds);
+    EXPECT_EQ(inlined.delivered, threaded.delivered);
+    EXPECT_EQ(inlined.halted, threaded.halted);
+    EXPECT_EQ(inlined.deleted, threaded.deleted);
+    EXPECT_EQ(inlined.values, threaded.values);
+    // The computation must actually exercise the paths it compares.
+    std::uint64_t dropped = 0, delivered = 0;
+    for (const auto& c : threaded.counters) {
+      delivered += c[1];
+      dropped += c[2];
     }
+    EXPECT_GT(delivered, 0u);
+    EXPECT_GT(dropped, 0u);
   }
 }
 
@@ -438,34 +437,6 @@ TEST(Engine, InlineRoundsMatchThreadedHashCombiner) {
 TEST(Engine, InlineRoundsMatchThreadedDenseCombiner) {
   expect_inline_matches_threaded<Engine<SiteMsg, DenseSiteCombiner>>(
       "dense-subkey combiner");
-}
-
-// Scheduling-mode equivalence: the same computation under kScanAll and
-// kWorkQueue produces the same results and the same message counts.
-TEST(Engine, WorkQueueMatchesScanAll) {
-  const auto g = test::small_undirected(77);
-  auto run_mode = [&](ScheduleMode mode) {
-    EngineOptions opts = test::small_engine(4);
-    opts.schedule = mode;
-    Engine<std::uint32_t> e(g.num_vertices(), opts);
-    std::vector<std::uint32_t> comp(g.num_vertices());
-    for (std::size_t v = 0; v < comp.size(); ++v)
-      comp[v] = static_cast<std::uint32_t>(v);
-    e.run([&](auto& ctx, VertexId v, std::span<const std::uint32_t> msgs) {
-      std::uint32_t best = comp[v];
-      for (auto m : msgs) best = std::min(best, m);
-      const bool changed = best < comp[v];
-      if (changed) comp[v] = best;
-      if (ctx.superstep() == 0 || changed)
-        for (auto u : g.neighbors(v)) ctx.send(u, comp[v]);
-      ctx.vote_to_halt();
-    });
-    return std::make_pair(comp, e.stats().total_messages_sent());
-  };
-  const auto [scan_comp, scan_msgs] = run_mode(ScheduleMode::kScanAll);
-  const auto [queue_comp, queue_msgs] = run_mode(ScheduleMode::kWorkQueue);
-  EXPECT_EQ(scan_comp, queue_comp);
-  EXPECT_EQ(scan_msgs, queue_msgs);
 }
 
 TEST(Engine, DeterministicAcrossRunsSameWorkerCount) {
@@ -607,14 +578,12 @@ TEST(Engine, MessagesToSelfDeletedVertexNeverWakeIt) {
   EXPECT_EQ(runs_of_1, 1);
 }
 
-// activate_all() under kWorkQueue must produce exactly one queue entry per
-// live vertex, even when a vertex is already scheduled by a pending
-// message delivery, and must leave deleted vertices out of the queue.
+// activate_all() must produce exactly one queue entry per live vertex,
+// even when a vertex is already scheduled by a pending message delivery,
+// and must leave deleted vertices out of the queue.
 TEST(Engine, ActivateAllUnderWorkQueueNoDuplicateEntries) {
   const std::size_t n = 6;
-  EngineOptions opts = test::small_engine(2);
-  opts.schedule = ScheduleMode::kWorkQueue;
-  IntEngine e(n, opts);
+  IntEngine e(n, test::small_engine(2));
   e.mark_deleted(5);
   // Superstep 0: vertex 0 messages vertex 1 (scheduling it for step 1),
   // everyone halts.
@@ -677,62 +646,52 @@ TEST(Engine, FullComputationAtDegenerateWorkerCounts) {
 }
 
 // An engine over zero vertices is legal: immediately done, and stepping /
-// activate_all are harmless no-ops under both schedulers.
+// activate_all are harmless no-ops.
 TEST(Engine, ZeroVertexEngine) {
-  for (const ScheduleMode mode :
-       {ScheduleMode::kScanAll, ScheduleMode::kWorkQueue}) {
-    EngineOptions opts = test::small_engine(3);
-    opts.schedule = mode;
-    IntEngine e(0, opts);
-    EXPECT_TRUE(e.done());
-    EXPECT_EQ(e.num_unhalted(), 0u);
-    std::atomic<int> ran{0};
-    e.step([&](auto&, VertexId, std::span<const int>) { ++ran; });
-    EXPECT_EQ(ran.load(), 0);
-    e.activate_all();
-    EXPECT_TRUE(e.done());
-    const RunStats& stats =
-        e.run([&](auto&, VertexId, std::span<const int>) { ++ran; }, 10);
-    EXPECT_EQ(ran.load(), 0);
-    EXPECT_EQ(stats.total_messages_sent(), 0u);
-  }
+  IntEngine e(0, test::small_engine(3));
+  EXPECT_TRUE(e.done());
+  EXPECT_EQ(e.num_unhalted(), 0u);
+  std::atomic<int> ran{0};
+  e.step([&](auto&, VertexId, std::span<const int>) { ++ran; });
+  EXPECT_EQ(ran.load(), 0);
+  e.activate_all();
+  EXPECT_TRUE(e.done());
+  const RunStats& stats =
+      e.run([&](auto&, VertexId, std::span<const int>) { ++ran; }, 10);
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_EQ(stats.total_messages_sent(), 0u);
 }
 
 // ---- capacity growth and frontier control (streaming epochs) -----------
 
 TEST(Engine, GrowAddsHaltedVerticesUnderBothSchedulers) {
-  for (const ScheduleMode mode :
-       {ScheduleMode::kScanAll, ScheduleMode::kWorkQueue}) {
-    EngineOptions opts = test::small_engine();
-    opts.schedule = mode;
-    IntEngine e(4, opts);
-    e.step([&](auto& ctx, VertexId, std::span<const int>) {
-      ctx.vote_to_halt();
-    });
-    ASSERT_TRUE(e.done());
+  IntEngine e(4, test::small_engine());
+  e.step([&](auto& ctx, VertexId, std::span<const int>) {
+    ctx.vote_to_halt();
+  });
+  ASSERT_TRUE(e.done());
 
-    e.grow(7);
-    // New ids exist but arrive halted: nothing runs until activated.
-    EXPECT_TRUE(e.done());
-    EXPECT_EQ(e.num_unhalted(), 0u);
+  e.grow(7);
+  // New ids exist but arrive halted: nothing runs until activated.
+  EXPECT_TRUE(e.done());
+  EXPECT_EQ(e.num_unhalted(), 0u);
 
-    e.activate(6);
-    std::vector<int> ran;
-    e.step([&](auto& ctx, VertexId v, std::span<const int>) {
-      ran.push_back(static_cast<int>(v));
-      ctx.send(2, 99);  // old ids remain addressable
-      ctx.vote_to_halt();
-    });
-    ASSERT_EQ(ran.size(), 1u);
-    EXPECT_EQ(ran[0], 6);
-    std::vector<int> got(7, -1);
-    e.step([&](auto& ctx, VertexId v, std::span<const int> msgs) {
-      got[v] = msgs.empty() ? 0 : msgs[0];
-      ctx.vote_to_halt();
-    });
-    EXPECT_EQ(got[2], 99);
-    EXPECT_TRUE(e.done());
-  }
+  e.activate(6);
+  std::vector<int> ran;
+  e.step([&](auto& ctx, VertexId v, std::span<const int>) {
+    ran.push_back(static_cast<int>(v));
+    ctx.send(2, 99);  // old ids remain addressable
+    ctx.vote_to_halt();
+  });
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_EQ(ran[0], 6);
+  std::vector<int> got(7, -1);
+  e.step([&](auto& ctx, VertexId v, std::span<const int> msgs) {
+    got[v] = msgs.empty() ? 0 : msgs[0];
+    ctx.vote_to_halt();
+  });
+  EXPECT_EQ(got[2], 99);
+  EXPECT_TRUE(e.done());
 }
 
 TEST(Engine, GrowPreservesUnhaltedVertices) {
@@ -779,28 +738,214 @@ TEST(Engine, GrowRejectsShrinkAndInFlightMessages) {
 }
 
 TEST(Engine, HaltAllThenActivateWakesExactFrontier) {
-  for (const ScheduleMode mode :
-       {ScheduleMode::kScanAll, ScheduleMode::kWorkQueue}) {
-    EngineOptions opts = test::small_engine();
-    opts.schedule = mode;
-    IntEngine e(8, opts);
-    e.halt_all();
-    EXPECT_TRUE(e.done());
-    EXPECT_EQ(e.num_unhalted(), 0u);
-    e.activate(2);
-    e.activate(5);
-    std::vector<int> ran;
-    std::mutex mu;
-    e.step([&](auto& ctx, VertexId v, std::span<const int>) {
-      std::lock_guard<std::mutex> lk(mu);
-      ran.push_back(static_cast<int>(v));
+  IntEngine e(8, test::small_engine());
+  e.halt_all();
+  EXPECT_TRUE(e.done());
+  EXPECT_EQ(e.num_unhalted(), 0u);
+  e.activate(2);
+  e.activate(5);
+  std::vector<int> ran;
+  std::mutex mu;
+  e.step([&](auto& ctx, VertexId v, std::span<const int>) {
+    std::lock_guard<std::mutex> lk(mu);
+    ran.push_back(static_cast<int>(v));
+    ctx.vote_to_halt();
+  });
+  std::sort(ran.begin(), ran.end());
+  ASSERT_EQ(ran.size(), 2u);
+  EXPECT_EQ(ran[0], 2);
+  EXPECT_EQ(ran[1], 5);
+  EXPECT_TRUE(e.done());
+}
+
+// ---- the scheduling invariant (engine.h) --------------------------------
+
+// Checks the invariant from outside through checkpoint(): every live
+// vertex sits in its owner's queue exactly once, and everything else
+// queued has been deleted.
+void expect_queue_invariant(const IntEngine& e, const std::string& after) {
+  SCOPED_TRACE("after " + after);
+  const IntEngine::Checkpoint c = e.checkpoint();
+  std::vector<int> seen(c.num_vertices, 0);
+  for (std::size_t w = 0; w < c.queues.size(); ++w)
+    for (const VertexId v : c.queues[w]) {
+      ASSERT_LT(v, c.num_vertices);
+      EXPECT_EQ(e.partition().owner(v), static_cast<int>(w));
+      EXPECT_TRUE(!c.halted[v] || c.deleted[v])
+          << "halted vertex " << v << " queued";
+      ++seen[v];
+    }
+  for (VertexId v = 0; v < c.num_vertices; ++v) {
+    EXPECT_LE(seen[v], 1) << "vertex " << v << " queued twice";
+    if (!c.halted[v] && !c.deleted[v]) {
+      EXPECT_EQ(seen[v], 1) << "live vertex " << v << " not queued";
+    }
+  }
+}
+
+std::size_t queued(const IntEngine& e) {
+  std::size_t n = 0;
+  for (const auto& q : e.checkpoint().queues) n += q.size();
+  return n;
+}
+
+TEST(Engine, QueueInvariantHoldsAcrossEveryScheduleOperation) {
+  IntEngine e(10, test::small_engine(3));
+  expect_queue_invariant(e, "construction");
+  EXPECT_EQ(queued(e), 10u);
+  // Even vertices stay active, odd ones halt; 1 messages 2 (already
+  // active, so it must not be queued a second time) and 7 (halted).
+  e.step([&](auto& ctx, VertexId v, std::span<const int>) {
+    if (v == 1) {
+      ctx.send(2, 1);
+      ctx.send(7, 1);
+    }
+    if (v % 2 == 1) ctx.vote_to_halt();
+  });
+  expect_queue_invariant(e, "step");
+  EXPECT_EQ(queued(e), 6u);  // 0 2 4 6 8, and 7 woken by its message
+  e.step([&](auto& ctx, VertexId, std::span<const int>) {
+    ctx.vote_to_halt();
+  });
+  expect_queue_invariant(e, "second step");
+  EXPECT_EQ(queued(e), 0u);
+  e.activate(3);
+  e.activate(3);
+  expect_queue_invariant(e, "activate");
+  EXPECT_EQ(queued(e), 1u);
+  e.mark_deleted(3);
+  e.mark_deleted(4);
+  expect_queue_invariant(e, "mark_deleted");
+  e.activate_all();
+  expect_queue_invariant(e, "activate_all");
+  EXPECT_EQ(e.num_unhalted(), 8u);
+
+  e.halt_all();
+  expect_queue_invariant(e, "halt_all");
+  EXPECT_EQ(queued(e), 0u);
+  EXPECT_EQ(e.num_unhalted(), 0u);
+  for (VertexId v = 0; v < 10; ++v) EXPECT_TRUE(e.is_halted(v)) << v;
+  EXPECT_TRUE(e.done());
+
+  e.activate(5);
+  e.grow(16);
+  expect_queue_invariant(e, "grow");
+  EXPECT_EQ(queued(e), 1u);
+  e.activate(12);
+  expect_queue_invariant(e, "activate after grow");
+
+  IntEngine r(16, test::small_engine(3));
+  RunStats history = e.stats();
+  r.restore(e.checkpoint(), std::move(history));
+  expect_queue_invariant(r, "restore");
+  EXPECT_EQ(r.num_unhalted(), 2u);
+  std::vector<int> ran;
+  std::mutex mu;
+  r.step([&](auto& ctx, VertexId v, std::span<const int>) {
+    std::lock_guard<std::mutex> lk(mu);
+    ran.push_back(static_cast<int>(v));
+    ctx.vote_to_halt();
+  });
+  std::sort(ran.begin(), ran.end());
+  EXPECT_EQ(ran, (std::vector<int>{5, 12}));
+}
+
+TEST(Engine, RestoreRefusesCheckpointsThatBreakTheInvariant) {
+  IntEngine e(8, test::small_engine(2));
+  e.step([&](auto& ctx, VertexId v, std::span<const int>) {
+    if (v >= 2) ctx.vote_to_halt();
+  });
+  const IntEngine::Checkpoint good = e.checkpoint();
+  const auto expect_refused = [&](IntEngine::Checkpoint c,
+                                  const std::string& why) {
+    IntEngine r(8, test::small_engine(2));
+    try {
+      r.restore(std::move(c), RunStats{});
+      ADD_FAILURE() << "restore accepted a checkpoint: " << why;
+    } catch (const CheckError& err) {
+      EXPECT_NE(std::string(err.what()).find(why), std::string::npos)
+          << err.what();
+    }
+  };
+  {
+    IntEngine::Checkpoint c = good;  // vertex 0 live but unqueued
+    for (auto& q : c.queues) std::erase(q, VertexId{0});
+    expect_refused(std::move(c), "unqueued");
+  }
+  {
+    IntEngine::Checkpoint c = good;  // vertex 5 woken but never queued
+    c.halted[5] = 0;
+    expect_refused(std::move(c), "unqueued");
+  }
+  {
+    IntEngine::Checkpoint c = good;
+    const int w = e.partition().owner(1);
+    c.queues[static_cast<std::size_t>(w)].push_back(1);
+    expect_refused(std::move(c), "twice");
+  }
+  {
+    IntEngine::Checkpoint c = good;  // vertex 5 halted, yet queued
+    const int w = e.partition().owner(5);
+    c.queues[static_cast<std::size_t>(w)].push_back(5);
+    expect_refused(std::move(c), "queues halted vertex");
+  }
+  {
+    IntEngine::Checkpoint c = good;
+    c.deleted[0] = 1;
+    expect_refused(std::move(c), "unhalted");
+  }
+  IntEngine r(8, test::small_engine(2));
+  r.restore(IntEngine::Checkpoint(good), RunStats{});  // control
+  EXPECT_EQ(r.num_unhalted(), 2u);
+}
+
+// One run on both sides of the compute-order rule: superstep 0 queues
+// every vertex (dense: an ascending scan), the BFS tail queues a few
+// (sparse: queue order, which is delivery order). The 1-worker run pins
+// both orders; every worker count must match the sequential oracle.
+TEST(Engine, DenseScanThenSparseQueueMatchesOracle) {
+  const VertexId n = 128;
+  std::vector<std::vector<VertexId>> adj(n);
+  adj[0] = {40, 20, 10};  // sent in this order: not ascending
+  for (VertexId v = 10; v < 19; ++v) adj[v] = {v + 1};
+  adj[20] = {21};
+  adj[40] = {63, 41};
+  // Superstep 2 queues 4 of 128 vertices, still under 1/16.
+  constexpr int kInf = std::numeric_limits<int>::max();
+  std::vector<int> oracle(n, kInf);
+  oracle[0] = 0;
+  for (std::deque<VertexId> q{0}; !q.empty(); q.pop_front())
+    for (const VertexId u : adj[q.front()])
+      if (oracle[u] == kInf) {
+        oracle[u] = oracle[q.front()] + 1;
+        q.push_back(u);
+      }
+
+  for (const int workers : {1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    IntEngine e(n, test::small_engine(workers));
+    std::vector<int> dist(n, kInf);
+    std::vector<std::vector<VertexId>> order;  // per superstep, 1 worker
+    e.run([&](auto& ctx, VertexId v, std::span<const int> msgs) {
+      if (workers == 1) {
+        if (order.size() <= ctx.superstep()) order.resize(ctx.superstep() + 1);
+        order[ctx.superstep()].push_back(v);
+      }
+      int best = ctx.superstep() == 0 && v == 0 ? 0 : kInf;
+      for (const int m : msgs) best = std::min(best, m);
+      if (best < dist[v]) {
+        dist[v] = best;
+        for (const VertexId u : adj[v]) ctx.send(u, best + 1);
+      }
       ctx.vote_to_halt();
     });
-    std::sort(ran.begin(), ran.end());
-    ASSERT_EQ(ran.size(), 2u);
-    EXPECT_EQ(ran[0], 2);
-    EXPECT_EQ(ran[1], 5);
-    EXPECT_TRUE(e.done());
+    EXPECT_EQ(dist, oracle);
+    if (workers != 1) continue;
+    ASSERT_GE(order.size(), 3u);
+    ASSERT_EQ(order[0].size(), n);
+    EXPECT_TRUE(std::is_sorted(order[0].begin(), order[0].end()));
+    EXPECT_EQ(order[1], (std::vector<VertexId>{40, 20, 10}));
+    EXPECT_EQ(order[2], (std::vector<VertexId>{63, 41, 21, 11}));
   }
 }
 

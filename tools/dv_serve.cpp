@@ -26,12 +26,11 @@
 #include <atomic>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "common/args.h"
 #include "common/check.h"
@@ -58,11 +57,15 @@ class Daemon {
       if (!s.valid()) break;  // listener closed: shutting down
       std::lock_guard<std::mutex> lock(mu_);
       if (shutting_down_) break;
-      conns_.push_back(std::make_shared<net::TcpStream>(std::move(s)));
-      const std::shared_ptr<net::TcpStream> conn = conns_.back();
-      threads_.emplace_back([this, conn] { serve(conn); });
+      reap_finished();
+      Connection& c = conns_.emplace_back(std::move(s));
+      c.thread = std::thread([this, &c] {
+        serve(c.stream);
+        c.stream.shutdown();  // the peer sees EOF now, not at reap time
+        c.done.store(true, std::memory_order_release);
+      });
     }
-    for (std::thread& t : threads_) t.join();
+    for (Connection& c : conns_) c.thread.join();
   }
 
   void request_shutdown() {
@@ -72,33 +75,53 @@ class Daemon {
     listener_.close();
     // Wake every connection thread blocked in read_line: they see EOF,
     // finish their in-flight response, and exit.
-    for (const auto& conn : conns_) conn->shutdown();
+    for (Connection& c : conns_) c.stream.shutdown();
   }
 
  private:
-  void serve(const std::shared_ptr<net::TcpStream>& s) {
+  struct Connection {
+    explicit Connection(net::TcpStream s) : stream(std::move(s)) {}
+    net::TcpStream stream;
+    std::thread thread;
+    std::atomic<bool> done{false};  // set as the thread's last act
+  };
+
+  /// Joins and drops every connection whose thread has finished, so the
+  /// daemon holds threads and sockets for open connections only, not for
+  /// every connection it ever accepted. Caller holds mu_.
+  void reap_finished() {
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = conns_.erase(it);
+    }
+  }
+
+  void serve(net::TcpStream& s) {
     dv::serve::Conn conn;
     std::string line;
     try {
-      while (s->read_line(line)) {
+      while (s.read_line(line)) {
         if (!conn.in_mut && line == "SHUTDOWN") {
-          s->write_line("OK shutting down");
+          s.write_line("OK shutting down");
           request_shutdown();
           return;
         }
         bool quit = false;
         const std::string resp = core_.handle_line(conn, line, &quit);
-        if (!resp.empty()) s->write_line(resp);
+        if (!resp.empty()) s.write_line(resp);
         if (quit) return;
       }
     } catch (const net::LineTooLong&) {
       // A peer that never sends a newline would otherwise grow the read
       // buffer without limit: answer once, then hang up on it.
       try {
-        s->write_line("ERR line too long");
+        s.write_line("ERR line too long");
       } catch (const std::exception&) {
       }
-      s->shutdown();
       std::cerr << "dv_serve: connection dropped: line too long\n";
     } catch (const std::exception& e) {
       // A hung-up peer mid-write is normal churn, not a daemon error.
@@ -110,8 +133,7 @@ class Daemon {
   net::TcpListener listener_;
   std::mutex mu_;
   bool shutting_down_ = false;
-  std::vector<std::shared_ptr<net::TcpStream>> conns_;
-  std::vector<std::thread> threads_;
+  std::list<Connection> conns_;  // std::list: threads hold references
 };
 
 /// --stdio: the same protocol, one connection, no sockets.
