@@ -472,6 +472,7 @@ class DvRunner::Impl {
       }
       if (!retract_table_.empty()) retract_table_.grow(new_n);
       state_.resize(new_n * stride_);
+      if (tracking_) changed_mark_.resize(new_n, 0);
       const std::vector<Value> defaults = compiler_field_defaults();
       for (std::size_t v = old_n; v < new_n; ++v)
         std::copy(defaults.begin(), defaults.end(),
@@ -497,6 +498,7 @@ class DvRunner::Impl {
           eval_root(*prog_.init, ctx);
         push_first(ctx, v, 0);
         mark_wake(v);
+        if (tracking_) note_changed(0, v);
       }
     }
 
@@ -673,6 +675,27 @@ class DvRunner::Impl {
   }
 
   DvRunResult snapshot_result() { return collect_result(); }
+
+  StateWindow state_window() const {
+    return {state_.data(), &prog_.fields, g_.num_vertices()};
+  }
+
+  bool take_changed(std::vector<graph::VertexId>& out) {
+    DV_CHECK_MSG(converged_, "take_changed before convergence");
+    out.clear();
+    if (!tracking_) {
+      tracking_ = true;
+      changed_mark_.assign(g_.num_vertices(), 0);
+      changed_lists_.resize(worker_scratch_.size());
+      return false;
+    }
+    for (std::vector<graph::VertexId>& list : changed_lists_) {
+      for (const graph::VertexId v : list) changed_mark_[v] = 0;
+      out.insert(out.end(), list.begin(), list.end());
+      list.clear();
+    }
+    return true;
+  }
 
   bool atomic_path() const { return !atomic_table_.empty(); }
 
@@ -1697,8 +1720,10 @@ class DvRunner::Impl {
       else
         eval(*stmt.body, ctx);
       if (ctx.halt_requested) ectx.vote_to_halt();
-      if (ctx.any_field_assign)
+      if (ctx.any_field_assign) {
         assign_agg_->contribute(ectx.worker(), true);
+        if (tracking_) note_changed(ectx.worker(), v);
+      }
     };
 
     for (;;) {
@@ -1879,6 +1904,24 @@ class DvRunner::Impl {
   // epoch instead of tripping the fatal superstep DV_CHECK.
   std::size_t epoch_cap_abs_ = 0;
   bool warm_aborted_ = false;
+  // Change set for take_changed: armed by its first call (so runs that
+  // nobody reads incrementally never record), then every vertex whose
+  // compute assigned a user field, and every vertex growth created, is
+  // recorded once — the mark byte dedupes, so the per-worker lists never
+  // exceed |V| however long nobody takes them.
+  bool tracking_ = false;
+  std::vector<std::uint8_t> changed_mark_;
+  std::vector<std::vector<graph::VertexId>> changed_lists_;
+
+  /// Out of line, behind the any_field_assign branch, so the per-vertex
+  /// compute path keeps its shape. A vertex is computed by its owner
+  /// worker only, so the mark and the worker's list have one writer per
+  /// superstep.
+  [[gnu::noinline]] void note_changed(int worker, graph::VertexId v) {
+    if (changed_mark_[v]) return;
+    changed_mark_[v] = 1;
+    changed_lists_[static_cast<std::size_t>(worker)].push_back(v);
+  }
 };
 
 const char* exec_tier_name(ExecTier tier) {
@@ -1960,6 +2003,12 @@ EpochStats DvRunner::apply_epoch(graph::DynamicGraph& dyn,
 }
 
 DvRunResult DvRunner::result() const { return impl_->snapshot_result(); }
+
+StateWindow DvRunner::state_window() const { return impl_->state_window(); }
+
+bool DvRunner::take_changed(std::vector<graph::VertexId>& out) {
+  return impl_->take_changed(out);
+}
 
 bool DvRunner::converged() const { return impl_->converged(); }
 

@@ -173,6 +173,19 @@ struct DvRunResult {
   std::vector<std::int64_t> field_as_int(const std::string& name) const;
 };
 
+/// A read-only window onto a runner's live vertex state, in DvRunResult's
+/// row layout: num_vertices rows of fields->size() values each. Valid
+/// until the runner next runs, grows or is destroyed.
+struct StateWindow {
+  const Value* state = nullptr;
+  const std::vector<Field>* fields = nullptr;
+  std::size_t num_vertices = 0;
+
+  const Value* row(graph::VertexId v) const {
+    return state + static_cast<std::size_t>(v) * fields->size();
+  }
+};
+
 /// Runs `cp` over `g` (a CsrGraph converts implicitly). Throws
 /// CheckError/CompileError on misuse (missing params, #neighbors on a
 /// directed graph, superstep cap exceeded).
@@ -286,6 +299,18 @@ class DvRunner {
   /// Snapshot of the current converged state (same shape as converge()'s
   /// result; stats cover everything since construction).
   DvRunResult result() const;
+
+  /// The live state, uncopied (see StateWindow for its lifetime).
+  StateWindow state_window() const;
+
+  /// Replaces `out` with the vertices whose user fields may differ from
+  /// the previous call: every vertex whose compute assigned a user field
+  /// since then, plus every vertex apply_epoch's growth created. Returns
+  /// false when the set is not exact and every row must be treated as
+  /// changed — always so on a runner's first call, which only starts the
+  /// recording (runs nobody reads this way never record). Requires
+  /// converged().
+  bool take_changed(std::vector<graph::VertexId>& out);
 
   /// True when at least one aggregation site routes through the lock-free
   /// fold path under this runner's options (labels bench/tool output).

@@ -283,6 +283,13 @@ std::string ServeCore::stats_json() const {
        << ", \"messages\": " << s.messages
        << ", \"checkpoints\": " << s.checkpoints
        << ", \"vertices\": " << s.vertices << ", \"arcs\": " << s.arcs
+       << ", \"view_rows_patched\": " << s.view_rows_patched
+       << ", \"view_full_builds\": " << s.view_full_builds
+       << ", \"view_full_build_reasons\": {\"first\": "
+       << s.view_builds_first << ", \"cold\": " << s.view_builds_cold
+       << ", \"restore\": " << s.view_builds_restore
+       << ", \"grown\": " << s.view_builds_grown
+       << ", \"spare_held\": " << s.view_builds_spare_held << "}"
        << ", \"epoch_seconds_sum\": " << s.epoch_seconds_sum
        << ", \"ready\": " << (s.ready ? "true" : "false")
        << ", \"failed\": " << (s.failed ? "true" : "false")

@@ -43,7 +43,7 @@ SessionHost::SessionHost(std::string name, CompiledProgram cp,
                          std::vector<std::uint8_t> snapshot,
                          HostOptions options)
     : name_(std::move(name)), cp_(std::move(cp)),
-      options_(std::move(options)) {
+      options_(std::move(options)), restored_(true) {
   if (options_.collect_metrics) {
     collector_ = std::make_unique<obs::Collector>();
     options_.session.run.collector = collector_.get();
@@ -97,18 +97,43 @@ void SessionHost::fail(const std::string& what) {
 void SessionHost::publish_epoch(double epoch_seconds,
                                 const streaming::SessionEpoch* ep,
                                 std::size_t coalesced) {
-  // Engine thread only: result() and graph() are owner-thread entry
-  // points. The copy out of the runner is the double buffer's back half.
-  DvRunResult result = session_->result();
-  const std::size_t vertices = result.num_vertices;
-  const std::size_t arcs = session_->graph().num_arcs();
+  // Engine thread only: take_changed(), state_window() and graph() are
+  // owner-thread entry points. The view patches the rows the epoch
+  // changed into its spare buffer (read_view.h) — no O(|V|) copy.
   const std::size_t epoch = session_->epoch();
-  view_.publish(epoch, std::move(result));
+  const std::size_t arcs = session_->graph().num_arcs();
+  PublishReport report;
+  {
+    obs::Scope span(obs::resolve(options_.session.run.collector),
+                    "serve.publish");
+    // An inexact change set after the first publish comes from a fresh
+    // runner: a cold epoch or a warm abort.
+    const FullBuild inexact =
+        session_->take_changed(changed_) ? FullBuild::kNone
+        : ep != nullptr                  ? FullBuild::kCold
+        : restored_                      ? FullBuild::kRestore
+                                         : FullBuild::kFirst;
+    report = view_.publish(epoch, session_->state_window(), changed_,
+                           inexact);
+  }
+  const std::size_t vertices = session_->graph().num_vertices();
 
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.epoch = epoch;
   stats_.vertices = vertices;
   stats_.arcs = arcs;
+  stats_.view_rows_patched += report.rows_patched;
+  if (report.full != FullBuild::kNone) {
+    ++stats_.view_full_builds;
+    switch (report.full) {
+      case FullBuild::kFirst: ++stats_.view_builds_first; break;
+      case FullBuild::kCold: ++stats_.view_builds_cold; break;
+      case FullBuild::kRestore: ++stats_.view_builds_restore; break;
+      case FullBuild::kGrown: ++stats_.view_builds_grown; break;
+      case FullBuild::kSpareHeld: ++stats_.view_builds_spare_held; break;
+      case FullBuild::kNone: break;
+    }
+  }
   if (ep != nullptr) {
     ++stats_.epochs_committed;
     (ep->warm ? stats_.warm_epochs : stats_.cold_epochs)++;
@@ -273,14 +298,28 @@ std::shared_ptr<const StateSnapshot> SessionHost::view() const {
   return snap;
 }
 
+int SessionHost::user_field_slot(const StateSnapshot& snap,
+                                 const std::string& field) const {
+  const std::vector<Field>& user = snap.result.fields;
+  for (std::size_t s = 0; s < user.size(); ++s)
+    if (user[s].name == field) return static_cast<int>(s);
+  for (const Field& f : cp_.program.fields)
+    DV_CHECK_MSG(f.name != field,
+                 "field '" << field << "' of session '" << name_
+                           << "' is compiler-internal; GET and TOPK read "
+                              "user (local) fields only");
+  DV_FAIL("no field named '" << field << "' in session '" << name_ << "'");
+}
+
 Value SessionHost::get(graph::VertexId v, const std::string& field) const {
   Timer t;
   const auto snap = view();
+  const int slot = user_field_slot(*snap, field);
   DV_CHECK_MSG(static_cast<std::size_t>(v) < snap->result.num_vertices,
                "vertex " << v << " out of range (session '" << name_
                          << "' has " << snap->result.num_vertices
                          << " vertices at epoch " << snap->epoch << ")");
-  const Value val = snap->result.at(v, snap->result.field_slot(field));
+  const Value val = snap->result.at(v, slot);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.reads;
@@ -295,6 +334,7 @@ std::vector<std::pair<graph::VertexId, double>> SessionHost::topk(
     const std::string& field, std::size_t k) const {
   Timer t;
   const auto snap = view();
+  user_field_slot(*snap, field);  // names an internal field's error
   auto out = topk_field(snap->result, field, k);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

@@ -102,6 +102,15 @@ struct HostStats {
   std::size_t checkpoints = 0;
   std::size_t vertices = 0;           // as of the last published epoch
   std::size_t arcs = 0;
+  // View publication (read_view.h): rows patched into the spare buffer,
+  // and publishes that copied every row instead, by reason.
+  std::size_t view_rows_patched = 0;
+  std::size_t view_full_builds = 0;   // sum of the five below
+  std::size_t view_builds_first = 0;  // a fresh host's first two
+  std::size_t view_builds_cold = 0;   // cold epoch in the last two
+  std::size_t view_builds_restore = 0;  // a restored host's first two
+  std::size_t view_builds_grown = 0;  // |V| grew
+  std::size_t view_builds_spare_held = 0;  // a reader held the spare
   double epoch_seconds_sum = 0;
   bool ready = false;                 // initial convergence published
   bool failed = false;
@@ -153,8 +162,11 @@ class SessionHost {
   /// epoch in flight. Requires ready (blocks on wait_ready()).
   std::shared_ptr<const StateSnapshot> view() const;
   /// Point read of one vertex field from view(). Counts serve.reads.
+  /// Reads user (`local`) fields only: a compiler-added field throws a
+  /// CheckError naming it.
   Value get(graph::VertexId v, const std::string& field) const;
-  /// Top-k read over view() (descending; deterministic tie-break).
+  /// Top-k read over view() (descending; deterministic tie-break); user
+  /// fields only, like get().
   std::vector<std::pair<graph::VertexId, double>> topk(
       const std::string& field, std::size_t k) const;
 
@@ -177,6 +189,10 @@ class SessionHost {
   void publish_epoch(double epoch_seconds, const streaming::SessionEpoch* ep,
                      std::size_t coalesced);
   void fail(const std::string& what);
+  /// `field`'s slot in a published (user-fields-only) snapshot; throws
+  /// naming the field when it is compiler-internal or unknown.
+  int user_field_slot(const StateSnapshot& snap,
+                      const std::string& field) const;
   void add_counter(obs::Counter c, std::uint64_t n = 1) const;
 
   const std::string name_;
@@ -185,6 +201,8 @@ class SessionHost {
   std::unique_ptr<obs::Collector> collector_;  // may be null
   std::unique_ptr<streaming::DvStreamSession> session_;  // engine thread's
   ReadView view_;
+  const bool restored_ = false;  // built from snapshot bytes
+  std::vector<graph::VertexId> changed_;  // engine thread's publish scratch
 
   mutable std::mutex mu_;  // queue + control flags
   mutable std::condition_variable cv_work_;   // engine thread wakeups

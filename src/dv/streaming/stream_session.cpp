@@ -224,6 +224,16 @@ DvRunResult DvStreamSession::result() const {
   return runner_->result();
 }
 
+StateWindow DvStreamSession::state_window() const {
+  check_owner();
+  return runner_->state_window();
+}
+
+bool DvStreamSession::take_changed(std::vector<graph::VertexId>& out) {
+  check_owner();
+  return runner_->take_changed(out);
+}
+
 persist::SnapshotWriter DvStreamSession::build_snapshot() const {
   check_owner();
   obs::Scope obs_scope(obs::resolve(options_.run.collector),

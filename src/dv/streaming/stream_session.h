@@ -115,6 +115,17 @@ class DvStreamSession {
   /// Current converged vertex state.
   DvRunResult result() const;
 
+  /// The current state uncopied, valid until the next converge()/apply().
+  StateWindow state_window() const;
+
+  /// Replaces `out` with the vertices whose user fields may have changed
+  /// since the previous call and returns true; or returns false when
+  /// every row must be treated as changed. That is the case on the first
+  /// call, and on the first call after converge(), a cold rebuild or a
+  /// warm abort (each starts a fresh runner, which recorded nothing), and
+  /// after a restore. An empty batch yields an exact empty set.
+  bool take_changed(std::vector<graph::VertexId>& out);
+
   const graph::DynamicGraph& graph() const { return dyn_; }
   std::size_t epoch() const { return epoch_; }
   /// False while convergence is pending: on a fresh session before

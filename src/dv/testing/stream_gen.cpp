@@ -345,6 +345,39 @@ std::string compare_user_fields(const DvRunResult& got,
   return {};
 }
 
+/// The change-set contract of DvStreamSession::take_changed: every vertex
+/// whose user-field row differs between consecutive epochs' states (a
+/// vertex growth created counts as differing) is in `changed`, unless the
+/// set was reported inexact. Empty when it holds.
+std::string check_change_set(const DvRunResult& before,
+                             const DvRunResult& after,
+                             const std::vector<graph::VertexId>& changed,
+                             bool exact) {
+  if (!exact) return {};
+  std::vector<std::uint8_t> listed(after.num_vertices, 0);
+  for (const graph::VertexId v : changed) {
+    if (v >= after.num_vertices)
+      return "listed vertex " + std::to_string(v) + " is out of range";
+    listed[v] = 1;
+  }
+  for (std::size_t v = 0; v < after.num_vertices; ++v) {
+    if (listed[v]) continue;
+    if (v >= before.num_vertices)
+      return "new vertex " + std::to_string(v) + " is not listed";
+    for (std::size_t fi = 0; fi < after.fields.size(); ++fi) {
+      if (after.fields[fi].origin != Field::Origin::kUser) continue;
+      const auto vid = static_cast<graph::VertexId>(v);
+      const Value& a = before.at(vid, static_cast<int>(fi));
+      const Value& b = after.at(vid, static_cast<int>(fi));
+      if (!value_bits_equal(a, b))
+        return "field " + after.fields[fi].name + " at vertex " +
+               std::to_string(v) + " changed " + show(a) + " -> " +
+               show(b) + " but is not listed";
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 StreamCase generate_stream_case(Rng& rng) {
@@ -535,6 +568,28 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
       afloat->converge();
     }
 
+    // Change-set axis: every session reports which rows its epochs
+    // changed (the serving view patches exactly those). Each is checked
+    // against its own previous state, so a tier that misses a user-field
+    // store fails under its own name.
+    struct Tracked {
+      const char* name;
+      streaming::DvStreamSession* session;
+      DvRunResult prev;
+    };
+    std::vector<Tracked> tracked;
+    std::vector<graph::VertexId> changed;
+    const auto track = [&](const char* name,
+                           streaming::DvStreamSession* s) {
+      if (s == nullptr) return;
+      s->take_changed(changed);  // arms the recording
+      tracked.push_back({name, s, s->result()});
+    };
+    track("vm", vm.get());
+    track("tree", tree.get());
+    track("vm/buffered", buffered.get());
+    track("vm/atomic_float", afloat.get());
+
     const auto oracle_state = [&](const streaming::DvStreamSession& s,
                                   ExecTier tier) {
       DvRunOptions o;
@@ -621,6 +676,16 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
             afloat->result(), vm->result(), opts.float_tol);
         if (!fdiff.empty())
           return DiffFailure{"fold_path", tag("atomic_float: " + fdiff)};
+      }
+
+      for (Tracked& t : tracked) {
+        const bool exact = t.session->take_changed(changed);
+        DvRunResult now = t.session->result();
+        const std::string cdiff = check_change_set(t.prev, now, changed, exact);
+        if (!cdiff.empty())
+          return DiffFailure{"changed_set",
+                             tag(std::string(t.name) + " session: " + cdiff)};
+        t.prev = std::move(now);
       }
     }
   } catch (const std::exception& e) {

@@ -96,8 +96,9 @@ struct StreamDiffOptions {
 /// Runs the case end-to-end; returns the first failure or nullopt.
 /// Checks, after every batch: the epoch resumed warm iff promised, the
 /// session state is value-close to a from-scratch ΔV* run on the
-/// materialized mutated graph, and (check_tiers) the vm/tree sessions
-/// agree bit-for-bit.
+/// materialized mutated graph, (check_tiers) the vm/tree sessions
+/// agree bit-for-bit, and every session's take_changed set covers each
+/// user-field row that differs from the previous epoch ("changed_set").
 std::optional<DiffFailure> check_stream_case(
     const StreamCase& sc, const StreamDiffOptions& opts = {});
 

@@ -34,7 +34,7 @@ TEST(PersistFuzzSmoke, RestoredSessionsTrackUninterruptedRuns) {
   EXPECT_EQ(checked, kSmokeCases);
 }
 
-TEST(PersistFuzzSmoke, OddWorkerCountUsesScanAllScheduler) {
+TEST(PersistFuzzSmoke, OddWorkerCountUsesBlockPartition) {
   const std::uint64_t seed = test::effective_seed(0x5E55A0DD);
   Rng rng(seed);
   PersistCheckOptions opts;

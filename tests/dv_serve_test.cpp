@@ -15,10 +15,15 @@
 //   - the protocol state machine maps every failure to a one-line ERR
 //     without taking the connection or other tenants down.
 //
+//   - the published view is patched, not copied, and stays exactly the
+//     user columns of the session state after every epoch: warm, empty,
+//     growing, cold, warm-aborted and restored epochs, with readers
+//     pinning buffers and reading concurrently.
+//
 // Tier coverage: vm and tree run here (the equivalence tests iterate
-// both). The native tier's AOT pipeline shells out to the host compiler
-// and is exercised by dv_native_test (codegen label) — the serve label
-// runs under TSan, where generated code cannot link instrumented.
+// both). The view-publication tests add the native tier where it builds;
+// under TSan (the serve label's sanitizer job) generated code cannot link
+// instrumented, so they skip it there.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "dv/codegen/native_module.h"
 #include "dv/persist/snapshot.h"
 #include "dv/programs/programs.h"
 #include "dv/serve/protocol.h"
@@ -97,13 +103,8 @@ dv::DvRunResult offline_cc(const dv::CompiledProgram& cp,
 void expect_comp_matches(const SessionHost& host,
                          const dv::DvRunResult& want) {
   const auto snap = host.view();
-  const int slot = want.field_slot("comp");
   ASSERT_EQ(snap->result.num_vertices, want.num_vertices);
-  for (graph::VertexId v = 0;
-       v < static_cast<graph::VertexId>(want.num_vertices); ++v) {
-    EXPECT_EQ(snap->result.at(v, slot).as_i(), want.at(v, slot).as_i())
-        << "vertex " << v;
-  }
+  EXPECT_EQ(snap->result.field_as_int("comp"), want.field_as_int("comp"));
 }
 
 // ------------------------------------------------------------ merging
@@ -350,6 +351,379 @@ TEST(SessionHost, RecoveryAfterKillContinuesServing) {
   std::remove(ckpt.c_str());
 }
 
+// ------------------------------------------------- view publication
+
+/// The published view must be exactly the user columns of the session's
+/// full state: same user fields in declaration order, bit-equal values.
+void expect_view_is_user_columns(const dv::serve::StateSnapshot& snap,
+                                 const dv::DvRunResult& full,
+                                 const std::string& where) {
+  std::vector<std::size_t> user;
+  for (std::size_t s = 0; s < full.fields.size(); ++s)
+    if (full.fields[s].origin == dv::Field::Origin::kUser) user.push_back(s);
+  const dv::DvRunResult& got = snap.result;
+  ASSERT_EQ(got.fields.size(), user.size()) << where;
+  for (std::size_t j = 0; j < user.size(); ++j)
+    ASSERT_EQ(got.fields[j].name, full.fields[user[j]].name) << where;
+  ASSERT_EQ(got.num_vertices, full.num_vertices) << where;
+  ASSERT_EQ(got.state.size(), full.num_vertices * user.size()) << where;
+  EXPECT_TRUE(got.stats.supersteps.empty()) << where;
+  for (std::size_t v = 0; v < full.num_vertices; ++v) {
+    for (std::size_t j = 0; j < user.size(); ++j) {
+      const auto vid = static_cast<graph::VertexId>(v);
+      const dv::Value& a = got.at(vid, static_cast<int>(j));
+      const dv::Value& b = full.at(vid, static_cast<int>(user[j]));
+      ASSERT_TRUE(a.type == b.type && a.i == b.i)
+          << where << ": vertex " << v << " field " << got.fields[j].name;
+    }
+  }
+}
+
+/// A host and a shadow session over the same program, graph and options,
+/// driven one batch per epoch. The shadow lives on the test thread, so
+/// its full result() is the oracle for the host's published view.
+struct ServedPair {
+  ServedPair(const char* source, const graph::CsrGraph& base,
+             HostOptions o)
+      : cp(compile_dv(source)),
+        shadow(dv::streaming::make_stream_session(cp, base, o.session)),
+        host("t", compile_dv(source), base, o) {
+    shadow->converge();
+    host.wait_ready();
+  }
+  /// Restores both sides from `bytes`.
+  ServedPair(const char* source, std::vector<std::uint8_t> bytes,
+             HostOptions o)
+      : cp(compile_dv(source)),
+        shadow(dv::streaming::DvStreamSession::restore_bytes(cp, bytes,
+                                                             o.session)),
+        host("t", compile_dv(source), std::move(bytes), o) {
+    if (!shadow->converged()) shadow->converge();
+    host.wait_ready();
+  }
+
+  dv::streaming::SessionEpoch step(const MutationBatch& b) {
+    host.enqueue(b);
+    host.flush();
+    const dv::streaming::SessionEpoch ep = shadow->apply(b);
+    check("epoch " + std::to_string(ep.epoch));
+    return ep;
+  }
+
+  void check(const std::string& where) {
+    const auto snap = host.view();
+    EXPECT_EQ(snap->epoch, shadow->epoch()) << where;
+    expect_view_is_user_columns(*snap, shadow->result(), where);
+  }
+
+  dv::CompiledProgram cp;
+  std::unique_ptr<dv::streaming::DvStreamSession> shadow;
+  SessionHost host;
+};
+
+/// Tiers to serve on: tree and VM always, native where it builds.
+std::vector<dv::ExecTier> serve_tiers() {
+  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
+  if (dv::native::native_unavailable_reason().empty())
+    tiers.push_back(dv::ExecTier::kNative);
+  return tiers;
+}
+
+graph::CsrGraph undirected_rmat(std::size_t n, std::uint64_t seed) {
+  graph::RmatOptions ro;
+  ro.directed = false;
+  return graph::rmat(n, 2 * n, seed, ro);
+}
+
+TEST(ViewPublication, PatchedViewMatchesSessionAcrossWarmEpochsAndGrowth) {
+  for (const dv::ExecTier tier : serve_tiers()) {
+    SCOPED_TRACE(dv::exec_tier_name(tier));
+    ServedPair p(dv::programs::kConnectedComponents, undirected_rmat(64, 5),
+                 host_opts(tier));
+    p.check("initial");
+    for (graph::VertexId k = 0; k < 4; ++k) {
+      MutationBatch b;
+      b.insert_edge(k, 40 + 3 * k);
+      EXPECT_TRUE(p.step(b).warm);
+    }
+    p.step(MutationBatch{});  // empty batch: nothing net-changes
+    MutationBatch redundant;
+    redundant.insert_edge(0, 40);  // already present
+    p.step(redundant);
+    MutationBatch grow;
+    grow.add_vertices = 3;
+    grow.insert_edge(64, 65);
+    grow.insert_edge(65, 7);
+    p.step(grow);
+    for (graph::VertexId k = 0; k < 3; ++k) {
+      MutationBatch b;
+      b.insert_edge(66, 20 + k);
+      p.step(b);
+    }
+    const HostStats s = p.host.stats();
+    EXPECT_GT(s.view_rows_patched, 0u);
+    EXPECT_EQ(s.view_builds_first, 2u);
+    EXPECT_GE(s.view_builds_grown, 1u);
+    EXPECT_EQ(s.view_full_builds,
+              s.view_builds_first + s.view_builds_cold +
+                  s.view_builds_restore + s.view_builds_grown +
+                  s.view_builds_spare_held);
+  }
+}
+
+/// Weighted directed DAG-ish graph for kSsspRetract: a chain plus
+/// shortcuts, all weights positive.
+graph::CsrGraph weighted_chain(std::size_t n) {
+  graph::GraphBuilder b(n, /*directed=*/true);
+  b.keep_weights(true);
+  for (graph::VertexId v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1, 1.0);
+  for (graph::VertexId v = 0; v + 3 < n; v += 2) b.add_edge(v, v + 3, 2.5);
+  return b.build();
+}
+
+HostOptions sssp_opts(dv::ExecTier tier) {
+  HostOptions o = host_opts(tier);
+  o.session.run.params = {{"source", dv::Value::of_int(0)}};
+  return o;
+}
+
+TEST(ViewPublication, PatchedViewMatchesSessionAcrossRetractions) {
+  for (const dv::ExecTier tier : serve_tiers()) {
+    SCOPED_TRACE(dv::exec_tier_name(tier));
+    ServedPair p(dv::programs::kSsspRetract, weighted_chain(24),
+                 sssp_opts(tier));
+    std::size_t warm = 0;
+    for (graph::VertexId v = 0; v + 3 < 20; v += 4) {
+      MutationBatch del;
+      del.remove_edge(v, v + 3);  // a shortcut: distances rise
+      warm += p.step(del).warm ? 1 : 0;
+      MutationBatch ins;
+      ins.insert_edge(v + 1, v + 5, 0.5);
+      warm += p.step(ins).warm ? 1 : 0;
+    }
+    EXPECT_GT(warm, 0u);
+    EXPECT_GT(p.host.stats().view_rows_patched, 0u);
+  }
+}
+
+TEST(ViewPublication, ColdEpochsBuildTheViewInFull) {
+  for (const dv::ExecTier tier : serve_tiers()) {
+    SCOPED_TRACE(dv::exec_tier_name(tier));
+    HostOptions o = host_opts(tier);
+    o.session.force_cold = true;
+    ServedPair p(dv::programs::kConnectedComponents, undirected_rmat(64, 9),
+                 o);
+    for (graph::VertexId k = 0; k < 4; ++k) {
+      MutationBatch b;
+      b.insert_edge(k, 30 + k);
+      EXPECT_FALSE(p.step(b).warm);
+    }
+    const HostStats s = p.host.stats();
+    EXPECT_EQ(s.view_rows_patched, 0u);
+    EXPECT_EQ(s.view_builds_first, 1u);
+    EXPECT_EQ(s.view_builds_cold, 4u);
+    EXPECT_EQ(s.view_full_builds, 5u);
+  }
+}
+
+TEST(ViewPublication, WarmAbortFallsBackToAFullBuild) {
+  // 0 → 1 ⇄ 2 → 3: cutting 0 → 1 leaves the 1–2 cycle unreachable, so
+  // the warm repair counts to infinity, hits the cap and rebuilds cold.
+  graph::GraphBuilder b(5, /*directed=*/true);
+  b.keep_weights(true);
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(1, 2, 1.0);
+  b.add_edge(2, 1, 1.0);
+  b.add_edge(2, 3, 1.0);
+  const graph::CsrGraph g = b.build();
+  for (const dv::ExecTier tier : serve_tiers()) {
+    SCOPED_TRACE(dv::exec_tier_name(tier));
+    ServedPair p(dv::programs::kSsspRetract, g, sssp_opts(tier));
+    MutationBatch ins;
+    ins.insert_edge(0, 4, 2.0);
+    EXPECT_TRUE(p.step(ins).warm);
+    MutationBatch cut;
+    cut.remove_edge(0, 1);
+    const dv::streaming::SessionEpoch ep = p.step(cut);
+    ASSERT_FALSE(ep.warm);
+    ASSERT_NE(ep.blocker, nullptr);
+    EXPECT_NE(std::string(ep.blocker).find("aborted"), std::string::npos)
+        << ep.blocker;
+    for (const double w : {3.0, 1.5}) {
+      MutationBatch more;
+      more.insert_edge(4, 3, w);
+      EXPECT_TRUE(p.step(more).warm);
+    }
+    const HostStats s = p.host.stats();
+    EXPECT_EQ(s.view_builds_cold, 2u);  // the abort and the epoch after
+    EXPECT_GT(s.view_rows_patched, 0u);
+  }
+}
+
+TEST(ViewPublication, RestoredHostPatchesAfterTwoFullBuilds) {
+  for (const dv::ExecTier tier : serve_tiers()) {
+    SCOPED_TRACE(dv::exec_tier_name(tier));
+    std::vector<std::uint8_t> bytes;
+    {
+      ServedPair p(dv::programs::kConnectedComponents,
+                   undirected_rmat(64, 11), host_opts(tier));
+      for (graph::VertexId k = 0; k < 3; ++k) {
+        MutationBatch b;
+        b.insert_edge(k, 50 + k);
+        p.step(b);
+      }
+      bytes = p.host.snapshot_bytes();
+    }
+    ServedPair r(dv::programs::kConnectedComponents, std::move(bytes),
+                 host_opts(tier));
+    r.check("restored");
+    for (graph::VertexId k = 0; k < 3; ++k) {
+      MutationBatch b;
+      b.insert_edge(10 + k, 60 - k);
+      r.step(b);
+    }
+    const HostStats s = r.host.stats();
+    EXPECT_EQ(s.view_builds_restore, 2u);
+    EXPECT_EQ(s.view_builds_first, 0u);
+    EXPECT_GT(s.view_rows_patched, 0u);
+  }
+}
+
+TEST(ViewPublication, ReaderPinningTheSpareForcesAFullBuild) {
+  ServedPair p(dv::programs::kConnectedComponents, undirected_rmat(64, 13),
+               host_opts());
+  const auto edit = [&](graph::VertexId k) {
+    MutationBatch b;
+    b.insert_edge(k, 40 + k);
+    p.step(b);
+  };
+  edit(0);
+  edit(1);  // publishes 0 and 1 built in full; this one patches
+  const auto pinned = p.host.view();
+  const std::vector<dv::Value> pinned_state = pinned->result.state;
+  const std::size_t pinned_epoch = pinned->epoch;
+  edit(2);  // the pinned snapshot becomes the spare
+  EXPECT_EQ(p.host.stats().view_builds_spare_held, 0u);
+  edit(3);  // ...and is still held: this publish must not patch it
+  EXPECT_EQ(p.host.stats().view_builds_spare_held, 1u);
+  EXPECT_EQ(pinned->epoch, pinned_epoch);
+  ASSERT_EQ(pinned->result.state.size(), pinned_state.size());
+  for (std::size_t i = 0; i < pinned_state.size(); ++i)
+    ASSERT_EQ(pinned->result.state[i].i, pinned_state[i].i) << "word " << i;
+  const std::size_t patched = p.host.stats().view_rows_patched;
+  edit(4);
+  edit(5);  // with no pin, publishing patches again
+  EXPECT_GT(p.host.stats().view_rows_patched, patched);
+  EXPECT_EQ(p.host.stats().view_builds_spare_held, 1u);
+}
+
+TEST(ViewPublication, ReaderReleaseOrdersItsReadsBeforeThePatch) {
+  // A reader reads a snapshot after it became the spare, then drops it.
+  // The thread handshakes below are relaxed atomics, so nothing but the
+  // snapshot's reference count orders the reader's reads before the
+  // engine's patch of that buffer — which is what ThreadSanitizer checks.
+  // Edgeless: every edit below joins a singleton to a lower label, so
+  // every epoch changes a row.
+  ServedPair p(dv::programs::kConnectedComponents,
+               graph::GraphBuilder(64, /*directed=*/false).build(),
+               host_opts());
+  const auto edit = [&](graph::VertexId k) {
+    MutationBatch b;
+    b.insert_edge(k, 63 - k);
+    p.step(b);
+  };
+  edit(0);
+  edit(1);  // past the two first full builds
+  std::atomic<int> stage{0};
+  std::int64_t sum = 0;
+  std::thread reader([&] {
+    auto snap = p.host.view();
+    stage.store(1, std::memory_order_relaxed);
+    while (stage.load(std::memory_order_relaxed) != 2)
+      std::this_thread::yield();
+    for (const dv::Value& v : snap->result.state) sum += v.i;
+    snap.reset();
+    stage.store(3, std::memory_order_relaxed);
+  });
+  while (stage.load(std::memory_order_relaxed) != 1)
+    std::this_thread::yield();
+  edit(2);  // the reader's snapshot becomes the spare
+  stage.store(2, std::memory_order_relaxed);
+  while (stage.load(std::memory_order_relaxed) != 3)
+    std::this_thread::yield();
+  const std::size_t patched = p.host.stats().view_rows_patched;
+  edit(3);  // patches that snapshot's buffer in place
+  reader.join();
+  EXPECT_GT(sum, 0);
+  EXPECT_GT(p.host.stats().view_rows_patched, patched);
+  EXPECT_EQ(p.host.stats().view_builds_spare_held, 0u);
+}
+
+TEST(ViewPublication, ConcurrentReadersSeeWholeEpochs) {
+  const graph::CsrGraph base = undirected_rmat(64, 17);
+  std::vector<MutationBatch> batches;
+  for (graph::VertexId k = 0; k < 40; ++k) {
+    MutationBatch b;
+    b.insert_edge(k % 64, (7 * k + 13) % 64);
+    batches.push_back(b);
+  }
+  // The user columns of every epoch, computed up front on a shadow.
+  const auto cp = compile_dv(dv::programs::kConnectedComponents);
+  std::vector<std::vector<std::int64_t>> want;
+  {
+    auto shadow =
+        dv::streaming::make_stream_session(cp, base, host_opts().session);
+    shadow->converge();
+    want.push_back(shadow->result().field_as_int("comp"));
+    for (const MutationBatch& b : batches) {
+      shadow->apply(b);
+      want.push_back(shadow->result().field_as_int("comp"));
+    }
+  }
+  SessionHost host("t", compile_dv(dv::programs::kConnectedComponents),
+                   base, host_opts());
+  host.wait_ready();
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> mismatches{0}, snapshots{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::size_t last_epoch = 0;
+      graph::VertexId v = static_cast<graph::VertexId>(r);
+      while (!done.load(std::memory_order_acquire)) {
+        // A held snapshot is one whole epoch, however long it is held.
+        const auto snap = host.view();
+        if (snap->epoch < last_epoch ||
+            snap->result.field_as_int("comp") != want[snap->epoch])
+          mismatches.fetch_add(1);
+        last_epoch = snap->epoch;
+        // Point reads go through the host's own view() each time.
+        const std::int64_t c = host.get(v, "comp").as_i();
+        if (c < want.back()[v] || c > want.front()[v]) mismatches.fetch_add(1);
+        v = (v + 7) % 64;
+        snapshots.fetch_add(1);
+      }
+    });
+  }
+  std::size_t seen = 0;
+  for (const MutationBatch& b : batches) {
+    // Readers run between every two publishes, however the host
+    // schedules the threads.
+    while (snapshots.load() < seen + readers.size())
+      std::this_thread::yield();
+    seen = snapshots.load();
+    host.enqueue(b);
+    host.flush();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(snapshots.load(), batches.size() * readers.size());
+  const auto last = host.view();
+  EXPECT_EQ(last->epoch, batches.size());
+  EXPECT_EQ(last->result.field_as_int("comp"), want.back());
+}
+
 // ------------------------------------------------------------ registry
 
 TEST(Registry, CreateFindClose) {
@@ -474,6 +848,32 @@ TEST(Protocol, ErrorsAreOneLineAndIsolated) {
   expect_line(core, c2, "FLUSH a", "ERR ");
   expect_line(core, c2, "CREATE b cc rmat:4x2 undirected", "OK created b");
   expect_line(core, c2, "FLUSH b", "OK epoch=0");
+}
+
+TEST(Protocol, ReadsOfInternalFieldsNameTheField) {
+  // The view publishes user fields only; a compiler-added field (here
+  // cc's accumulator) is refused by name rather than as "no field".
+  const auto cp = compile_dv(dv::programs::kConnectedComponents);
+  std::string internal;
+  for (const dv::Field& f : cp.program.fields)
+    if (f.origin != dv::Field::Origin::kUser) {
+      internal = f.name;
+      break;
+    }
+  ASSERT_FALSE(internal.empty());
+  ServeCore core(host_opts());
+  dv::serve::Conn conn;
+  expect_line(core, conn, "CREATE a cc rmat:4x2 undirected", "OK created a");
+  for (const std::string& req :
+       {"GET a 0 " + internal, "TOPK a " + internal + " 2"}) {
+    const std::string resp = expect_line(core, conn, req, "ERR ");
+    EXPECT_NE(resp.find("'" + internal + "'"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("compiler-internal"), std::string::npos) << resp;
+  }
+  const std::string unknown = expect_line(core, conn, "GET a 0 nope", "ERR ");
+  EXPECT_NE(unknown.find("no field named 'nope'"), std::string::npos)
+      << unknown;
+  expect_line(core, conn, "GET a 0 comp", "OK 0");
 }
 
 // ----------------------------------------------------- mutation parsing

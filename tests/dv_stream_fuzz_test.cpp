@@ -61,7 +61,7 @@ TEST(StreamFuzzSmoke, WarmSessionsMatchFromScratchRuns) {
   EXPECT_EQ(checked, kSmokeCases);
 }
 
-TEST(StreamFuzzSmoke, OddWorkerCountUsesScanAllScheduler) {
+TEST(StreamFuzzSmoke, OddWorkerCountUsesBlockPartition) {
   const std::uint64_t seed = test::effective_seed(0x57AE0DD);
   Rng rng(seed);
   StreamDiffOptions opts;

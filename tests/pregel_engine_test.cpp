@@ -664,7 +664,7 @@ TEST(Engine, ZeroVertexEngine) {
 
 // ---- capacity growth and frontier control (streaming epochs) -----------
 
-TEST(Engine, GrowAddsHaltedVerticesUnderBothSchedulers) {
+TEST(Engine, GrowAddsHaltedVertices) {
   IntEngine e(4, test::small_engine());
   e.step([&](auto& ctx, VertexId, std::span<const int>) {
     ctx.vote_to_halt();
