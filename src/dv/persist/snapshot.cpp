@@ -138,8 +138,9 @@ SnapshotWriter::SnapshotWriter(std::size_t expected_bytes) {
 std::uint8_t* SnapshotWriter::grow(std::size_t n) {
   const std::size_t at = buf_.size();
   // Geometric growth that also leaves headroom after a block larger than
-  // everything before it (the stats history), so the few words written
-  // after such a block do not copy it into a buffer twice its size.
+  // everything before it (a graph's adjacency array, say), so the few
+  // words written after such a block do not copy it into a buffer twice
+  // its size.
   if (buf_.capacity() - at < n)
     buf_.reserve(std::max(2 * buf_.capacity(), at + n + (at + n) / 8));
   buf_.resize(at + n);

@@ -15,9 +15,9 @@ namespace deltav::dv {
 
 namespace {
 
-/// One SuperstepStats in the engine section: nine u64 counters, then three
-/// f64 timings.
-constexpr std::size_t kSuperstepRecordBytes = 12 * 8;
+/// The stats totals record that ends the engine section: one
+/// SuperstepStats, as nine u64 counters then three f64 timings.
+constexpr std::size_t kStatsTotalsBytes = 12 * 8;
 
 /// An exchange-free round runs inline (Engine::step(fn, true)) while its
 /// live frontier is at most max(kInlineFrontierFloor, |V| /
@@ -393,7 +393,7 @@ class DvRunner::Impl {
     EpochStats es;
     const std::size_t old_n = delta.old_num_vertices;
     const std::size_t new_n = delta.new_num_vertices;
-    const std::size_t stats_base = engine_->stats().supersteps.size();
+    const std::uint64_t sent_base = engine_->stats().total_messages_sent();
     const std::size_t steps_base = supersteps_;
     const std::uint64_t folds_base = atomic_folds_total_;
     const std::uint64_t retr_base = minmax_retractions_total_;
@@ -663,9 +663,7 @@ class DvRunner::Impl {
     es.supersteps = supersteps_ - steps_base;
     es.atomic_folds = atomic_folds_total_ - folds_base;
     es.atomic_path = !atomic_table_.empty();
-    const auto& log = engine_->stats().supersteps;
-    for (std::size_t i = stats_base; i < log.size(); ++i)
-      es.messages += log[i].messages_sent;
+    es.messages = engine_->stats().total_messages_sent() - sent_base;
     if (col) {
       auto& sh = col->metrics.shard(0);
       sh.add(obs::Counter::kDeltasApplied, es.deltas_applied);
@@ -753,25 +751,23 @@ class DvRunner::Impl {
         w.put_u8(m.wire);
       }
     }
-    // The stats history (most of a long stream's snapshot) goes straight
-    // from the engine, one fixed-size record per superstep.
-    const auto& history = engine_->stats().supersteps;
-    std::uint8_t* p =
-        w.put_records(history.size(), kSuperstepRecordBytes);
-    for (const pregel::SuperstepStats& ss : history) {
-      persist::le::put_u64(p, ss.messages_sent);
-      persist::le::put_u64(p, ss.messages_delivered);
-      persist::le::put_u64(p, ss.messages_dropped);
-      persist::le::put_u64(p, ss.bytes_sent);
-      persist::le::put_u64(p, ss.bytes_delivered);
-      persist::le::put_u64(p, ss.cross_machine_bytes);
-      persist::le::put_u64(p, ss.active_vertices);
-      persist::le::put_u64(p, ss.vertices_halted);
-      persist::le::put_u64(p, ss.vertices_woken);
-      persist::le::put_f64(p, ss.compute_seconds);
-      persist::le::put_f64(p, ss.exchange_seconds);
-      persist::le::put_f64(p, ss.sim_comm_seconds);
-    }
+    // The stats totals, as one length-prefixed record (its count is the
+    // superstep counter written first). The per-superstep log is not
+    // saved, so the section's size does not grow with uptime.
+    std::uint8_t* p = w.put_records(kStatsTotalsBytes, 1);
+    const pregel::SuperstepStats& t = c.totals;
+    persist::le::put_u64(p, t.messages_sent);
+    persist::le::put_u64(p, t.messages_delivered);
+    persist::le::put_u64(p, t.messages_dropped);
+    persist::le::put_u64(p, t.bytes_sent);
+    persist::le::put_u64(p, t.bytes_delivered);
+    persist::le::put_u64(p, t.cross_machine_bytes);
+    persist::le::put_u64(p, t.active_vertices);
+    persist::le::put_u64(p, t.vertices_halted);
+    persist::le::put_u64(p, t.vertices_woken);
+    persist::le::put_f64(p, t.compute_seconds);
+    persist::le::put_f64(p, t.exchange_seconds);
+    persist::le::put_f64(p, t.sim_comm_seconds);
     w.end_section();
 
     // Retraction memos (always framed, even when off, so the section
@@ -861,26 +857,28 @@ class DvRunner::Impl {
         pend.emplace_back(dst, m);
       }
     }
-    // get_records bounds the whole block before the history is sized.
-    const persist::SnapshotReader::Records rec =
-        r.get_records(kSuperstepRecordBytes);
-    pregel::RunStats history;
-    history.supersteps.resize(rec.count);
+    // get_records bounds the declared length by the section before the
+    // record is read; any length but kStatsTotalsBytes is refused.
+    const persist::SnapshotReader::Records rec = r.get_records(1);
+    if (rec.count != kStatsTotalsBytes)
+      throw persist::SnapshotError(
+          "snapshot section 'ENGN' holds a " + std::to_string(rec.count) +
+          "-byte stats totals record; this build reads " +
+          std::to_string(kStatsTotalsBytes) + "-byte records");
     const std::uint8_t* p = rec.data;
-    for (pregel::SuperstepStats& ss : history.supersteps) {
-      ss.messages_sent = persist::le::get_u64(p);
-      ss.messages_delivered = persist::le::get_u64(p);
-      ss.messages_dropped = persist::le::get_u64(p);
-      ss.bytes_sent = persist::le::get_u64(p);
-      ss.bytes_delivered = persist::le::get_u64(p);
-      ss.cross_machine_bytes = persist::le::get_u64(p);
-      ss.active_vertices = persist::le::get_u64(p);
-      ss.vertices_halted = persist::le::get_u64(p);
-      ss.vertices_woken = persist::le::get_u64(p);
-      ss.compute_seconds = persist::le::get_f64(p);
-      ss.exchange_seconds = persist::le::get_f64(p);
-      ss.sim_comm_seconds = persist::le::get_f64(p);
-    }
+    pregel::SuperstepStats& t = c.totals;
+    t.messages_sent = persist::le::get_u64(p);
+    t.messages_delivered = persist::le::get_u64(p);
+    t.messages_dropped = persist::le::get_u64(p);
+    t.bytes_sent = persist::le::get_u64(p);
+    t.bytes_delivered = persist::le::get_u64(p);
+    t.cross_machine_bytes = persist::le::get_u64(p);
+    t.active_vertices = persist::le::get_u64(p);
+    t.vertices_halted = persist::le::get_u64(p);
+    t.vertices_woken = persist::le::get_u64(p);
+    t.compute_seconds = persist::le::get_f64(p);
+    t.exchange_seconds = persist::le::get_f64(p);
+    t.sim_comm_seconds = persist::le::get_f64(p);
     r.close();
     for (std::uint32_t w = 0; w < W; ++w) {
       for (const graph::VertexId v : c.queues[w])
@@ -888,7 +886,7 @@ class DvRunner::Impl {
       for (const auto& [dst, m] : c.pending[w])
         if (dst >= n) bad("pending message destination out of range");
     }
-    engine_->restore(std::move(c), std::move(history));
+    engine_->restore(std::move(c));
 
     r.open(persist::kSecRetract);
     const std::uint64_t snap_k = r.get_u64();

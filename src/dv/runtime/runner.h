@@ -249,9 +249,10 @@ class DvRunner {
   /// Serializes the complete execution state — vertex values (aggAccum /
   /// nnAcc / aggNulls / last-sent memos live in the state rows), the
   /// statement/iteration cursor, the engine checkpoint (halt bits, work
-  /// queues, pending messages) and the full stats history (per-epoch
-  /// stats are diffs against it) — as the kSecRunner + kSecEngine
-  /// sections. Call between supersteps only (always true from
+  /// queues, pending messages) and the running stats totals (per-epoch
+  /// stats are diffs against them) — as the kSecRunner + kSecEngine
+  /// sections. The per-superstep stats log is not saved, so the size does
+  /// not grow with uptime. Call between supersteps only (always true from
   /// checkpoint_sink or after converge()).
   void save_state(persist::SnapshotWriter& w) const;
 
@@ -297,7 +298,10 @@ class DvRunner {
                          const graph::GraphDelta& delta);
 
   /// Snapshot of the current converged state (same shape as converge()'s
-  /// result; stats cover everything since construction).
+  /// result). The stats totals and num_supersteps() cover everything
+  /// since construction, saved-and-restored runs included; the
+  /// per-superstep log `stats.supersteps` covers only what ran since
+  /// construction or since the last restore_state.
   DvRunResult result() const;
 
   /// The live state, uncopied (see StateWindow for its lifetime).

@@ -21,7 +21,10 @@ namespace {
 ///     retraction memos, DESIGN.md §11).
 /// v4: the meta section lost its schedule-mode byte (the work queue is the
 ///     engine's only scheduler).
-constexpr std::uint32_t kFormatVersion = 4;
+/// v5: the engine section ends with one stats totals record in place of
+///     the per-superstep stats history, so its size no longer grows with
+///     the session's uptime.
+constexpr std::uint32_t kFormatVersion = 5;
 
 std::uint64_t value_payload_bits(const Value& v) {
   switch (v.type) {
@@ -236,9 +239,8 @@ bool DvStreamSession::take_changed(std::vector<graph::VertexId>& out) {
 
 persist::SnapshotWriter DvStreamSession::build_snapshot() const {
   check_owner();
-  obs::Scope obs_scope(obs::resolve(options_.run.collector),
-                       "persist.save");
-  // An eighth of headroom absorbs the history growth since the last save.
+  // An eighth of headroom absorbs what the graph and the state rows grew
+  // by since the last save (inserted vertices, overlay arcs, memo cells).
   persist::SnapshotWriter w(last_snapshot_bytes_ + last_snapshot_bytes_ / 8);
   w.begin_section(persist::kSecMeta);
   w.put_u32(kFormatVersion);
@@ -264,11 +266,19 @@ persist::SnapshotWriter DvStreamSession::build_snapshot() const {
   return w;
 }
 
+// persist.save spans encode and CRC; its persist.write_file child is the
+// file I/O, so the parent's self time is the codec alone.
 void DvStreamSession::save(const std::string& path) const {
-  build_snapshot().write_file(path);
+  obs::Collector* const col = obs::resolve(options_.run.collector);
+  obs::Scope obs_scope(col, "persist.save");
+  const persist::SnapshotWriter w = build_snapshot();
+  obs::Scope io_scope(col, "persist.write_file");
+  w.write_file(path);
 }
 
 std::vector<std::uint8_t> DvStreamSession::save_bytes() const {
+  obs::Scope obs_scope(obs::resolve(options_.run.collector),
+                       "persist.save");
   return std::move(build_snapshot()).take_bytes();
 }
 
@@ -280,11 +290,19 @@ void DvStreamSession::write_checkpoint() {
   }
 }
 
+// As with save(): persist.restore's self time is the decode, and its
+// persist.read_file child the file I/O.
 std::unique_ptr<DvStreamSession> DvStreamSession::restore(
     const CompiledProgram& cp, const std::string& path,
     SessionOptions options) {
-  return restore_bytes(cp, persist::read_file_bytes(path),
-                       std::move(options));
+  obs::Collector* const col = obs::resolve(options.run.collector);
+  obs::Scope obs_scope(col, "persist.restore");
+  std::vector<std::uint8_t> bytes;
+  {
+    obs::Scope io_scope(col, "persist.read_file");
+    bytes = persist::read_file_bytes(path);
+  }
+  return decode(cp, std::move(bytes), std::move(options));
 }
 
 std::unique_ptr<DvStreamSession> DvStreamSession::restore_bytes(
@@ -292,6 +310,12 @@ std::unique_ptr<DvStreamSession> DvStreamSession::restore_bytes(
     SessionOptions options) {
   obs::Scope obs_scope(obs::resolve(options.run.collector),
                        "persist.restore");
+  return decode(cp, std::move(bytes), std::move(options));
+}
+
+std::unique_ptr<DvStreamSession> DvStreamSession::decode(
+    const CompiledProgram& cp, std::vector<std::uint8_t> bytes,
+    SessionOptions options) {
   persist::SnapshotReader r(std::move(bytes));
 
   r.open(persist::kSecMeta);

@@ -28,11 +28,13 @@
 // Persistence (dv/persist/): save()/save_bytes() serialize the complete
 // session — graph base + overlay verbatim, every vertex-state row
 // (aggAccum, nnAcc/aggNulls, last-sent memos), the engine's halt bits,
-// work queues and pending messages, the runner's statement/iteration
-// cursor, and the epoch counter — into a checksummed snapshot. restore()
-// rebuilds a session that is bit-exact with one that never stopped: same
-// values, same subsequent warm/cold and compaction decisions, same
-// superstep and message counts. A snapshot taken mid-convergence (see
+// work queues, pending messages and stats totals, the runner's
+// statement/iteration cursor, and the epoch counter — into a checksummed
+// snapshot. restore() rebuilds a session that is bit-exact with one that
+// never stopped: same values, same subsequent warm/cold and compaction
+// decisions, same superstep and message counts and totals. The engine's
+// per-superstep stats log is not saved; a restored session's log starts
+// empty. A snapshot taken mid-convergence (see
 // SessionOptions::checkpoint_every) restores to a session whose
 // converge() resumes the interrupted run. Torn or corrupted snapshots
 // always fail restore with a persist::SnapshotError carrying the reason;
@@ -181,6 +183,10 @@ class DvStreamSession {
 
   void init_runner();
   persist::SnapshotWriter build_snapshot() const;
+  /// restore_bytes() without its trace span (restore() opens its own).
+  static std::unique_ptr<DvStreamSession> decode(
+      const CompiledProgram& cp, std::vector<std::uint8_t> bytes,
+      SessionOptions options);
   void write_checkpoint();
   /// Debug-build owner-thread check (see rebind_owner_thread). Binds on
   /// first call; fails loudly on a call from a second thread.
@@ -192,8 +198,8 @@ class DvStreamSession {
   std::unique_ptr<DvRunner> runner_;
   std::size_t epoch_ = 0;
   bool converge_called_ = false;
-  /// Size of the last snapshot built, to pre-size the next one (the stats
-  /// history only grows, so the next is rarely smaller).
+  /// Size of the last snapshot built, to pre-size the next one (a
+  /// session's state grows slowly, so the next is rarely much larger).
   mutable std::size_t last_snapshot_bytes_ = 0;
   /// Owner thread for the debug affinity guard; default-constructed id
   /// means "not yet bound".

@@ -108,6 +108,33 @@ std::string epoch_diff(const streaming::SessionEpoch& got,
 
 }  // namespace
 
+std::string totals_diff(const pregel::RunStats& got,
+                        const pregel::RunStats& want) {
+  const auto differ = [](const char* what, std::uint64_t a,
+                         std::uint64_t b) {
+    return std::string("total ") + what + " diverged: " + std::to_string(a) +
+           " vs reference " + std::to_string(b);
+  };
+  if (got.num_supersteps() != want.num_supersteps())
+    return differ("supersteps", got.num_supersteps(), want.num_supersteps());
+  using S = pregel::SuperstepStats;
+  static constexpr std::pair<const char*, std::uint64_t S::*> kCounts[] = {
+      {"messages_sent", &S::messages_sent},
+      {"messages_delivered", &S::messages_delivered},
+      {"messages_dropped", &S::messages_dropped},
+      {"bytes_sent", &S::bytes_sent},
+      {"bytes_delivered", &S::bytes_delivered},
+      {"cross_machine_bytes", &S::cross_machine_bytes},
+      {"active_vertices", &S::active_vertices},
+      {"vertices_halted", &S::vertices_halted},
+      {"vertices_woken", &S::vertices_woken},
+  };
+  for (const auto& [what, field] : kCounts)
+    if (got.totals.*field != want.totals.*field)
+      return differ(what, got.totals.*field, want.totals.*field);
+  return {};
+}
+
 std::optional<DiffFailure> check_persist_case(const StreamCase& sc, Rng& rng,
                                               const PersistCheckOptions& opts) {
   try {
@@ -147,7 +174,7 @@ std::optional<DiffFailure> check_persist_case(const StreamCase& sc, Rng& rng,
     }
 
     // Replays the remaining batches on a restored session, comparing every
-    // epoch against the reference records.
+    // epoch against the reference records, then the final stats totals.
     const auto replay_tail =
         [&](streaming::DvStreamSession& s, std::size_t from,
             const std::string& who) -> std::optional<DiffFailure> {
@@ -161,6 +188,10 @@ std::optional<DiffFailure> check_persist_case(const StreamCase& sc, Rng& rng,
             !d.empty())
           return DiffFailure{"persist-state", tag + d};
       }
+      if (std::string d =
+              totals_diff(s.result().stats, ref_state.back().stats);
+          !d.empty())
+        return DiffFailure{"persist-totals", who + ", after the replay: " + d};
       return std::nullopt;
     };
 

@@ -20,13 +20,19 @@
 //               interrupted run onto the reference trajectory;
 //   corruption  any truncation or byte flip of a snapshot makes restore
 //               throw SnapshotError — never a silent, wrong session.
+//
+// Every restored-and-replayed session must also end with the reference's
+// stats totals (totals_diff): the snapshot carries them, not the
+// per-superstep log.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <string>
 
 #include "common/rng.h"
 #include "dv/testing/stream_gen.h"
+#include "pregel/stats.h"
 
 namespace deltav::dv::testing {
 
@@ -42,6 +48,12 @@ struct PersistCheckOptions {
   /// a handful of deterministic edge cases.
   std::size_t corruptions = 6;
 };
+
+/// Empty when `got` and `want` agree on the superstep count and on every
+/// count-valued stats total, else the first difference. Wall-time totals
+/// are not compared: they are not reproducible.
+std::string totals_diff(const pregel::RunStats& got,
+                        const pregel::RunStats& want);
 
 /// Runs the full kill-point sweep for one case; returns the first failure
 /// or nullopt. `rng` drives fault placement and mid-run sampling only —

@@ -170,7 +170,7 @@ class Engine {
   /// of Pregel's Vertex base class methods.
   class Context {
    public:
-    std::size_t superstep() const { return engine_->superstep_; }
+    std::size_t superstep() const { return engine_->stats_.steps; }
     std::size_t num_vertices() const { return engine_->partition_.num_vertices(); }
     int worker() const { return worker_; }
     VertexId vertex() const { return vertex_; }
@@ -288,11 +288,11 @@ class Engine {
   /// Runs supersteps until done() or `max_supersteps` steps have executed.
   template <typename ComputeFn>
   const RunStats& run(ComputeFn&& fn, std::size_t max_supersteps = kNoLimit) {
-    while (!done() && superstep_ < max_supersteps) step(fn);
+    while (!done() && stats_.steps < max_supersteps) step(fn);
     return stats_;
   }
 
-  std::size_t superstep() const { return superstep_; }
+  std::size_t superstep() const { return stats_.steps; }
   const RunStats& stats() const { return stats_; }
   const VertexPartition& partition() const { return partition_; }
   const net::ClusterModel& cluster() const { return cluster_; }
@@ -425,12 +425,14 @@ class Engine {
   /// work queues (a sparse round computes in queue order, which fixes
   /// message emission order — a bit-exact restore must reproduce it
   /// verbatim), the pending inboxes (per worker, in per-vertex delivery
-  /// order), and the superstep counter. The stats history also carries
-  /// across, but it is not copied in here: a saver reads it in place
-  /// through stats(), and restore() takes it by move.
+  /// order), and the stats totals. The per-superstep stats log does not
+  /// carry across: a restored engine's log starts empty, while its totals
+  /// and superstep count continue the checkpointed run's.
   struct Checkpoint {
     std::size_t num_vertices = 0;
+    /// Supersteps run so far; the count behind `totals`.
     std::size_t superstep = 0;
+    SuperstepStats totals;
     std::vector<std::uint8_t> halted;
     std::vector<std::uint8_t> deleted;
     /// Per worker, in queue order; holds every live vertex exactly once.
@@ -449,7 +451,8 @@ class Engine {
                      "checkpoint() mid-superstep (outbox not flushed)");
     Checkpoint c;
     c.num_vertices = partition_.num_vertices();
-    c.superstep = superstep_;
+    c.superstep = stats_.steps;
+    c.totals = stats_.totals;
     c.halted = halted_;
     c.deleted = deleted_;
     const auto W = static_cast<std::size_t>(options_.num_workers);
@@ -477,8 +480,7 @@ class Engine {
   /// counts are derived, not stored: they are recomputed from the flags. A
   /// checkpoint is outside input, so one that breaks the scheduling
   /// invariant (see the file comment) is refused by name.
-  /// `stats` is the history as of the checkpoint.
-  void restore(Checkpoint&& c, RunStats&& stats) {
+  void restore(Checkpoint&& c) {
     DV_CHECK_MSG(c.num_vertices == partition_.num_vertices(),
                  "checkpoint |V| mismatch");
     DV_CHECK_MSG(c.halted.size() == c.num_vertices &&
@@ -490,8 +492,9 @@ class Engine {
     halted_ = std::move(c.halted);
     deleted_ = std::move(c.deleted);
     std::vector<std::uint8_t> queued(c.num_vertices, 0);
-    superstep_ = c.superstep;
-    stats_ = std::move(stats);
+    stats_ = RunStats{};
+    stats_.totals = c.totals;
+    stats_.steps = c.superstep;
     for (std::size_t w = 0; w < W; ++w) {
       auto& ws = workers_[w];
       ws.queue = std::move(c.queues[w]);
@@ -847,8 +850,7 @@ class Engine {
       std::swap(ws.queue, ws.next_queue);
     }
     ss.sim_comm_seconds = cluster_.superstep_seconds(egress_, ingress_);
-    stats_.supersteps.push_back(ss);
-    ++superstep_;
+    stats_.record(ss);
     if (obs::Collector* const col = obs::resolve(options_.collector)) {
       auto& sh = col->metrics.shard(0);
       sh.add(obs::Counter::kEngineMessagesSent, ss.messages_sent);
@@ -888,8 +890,7 @@ class Engine {
   std::vector<std::uint8_t> halted_;
   std::vector<std::uint8_t> deleted_;
   std::vector<WorkerState> workers_;
-  RunStats stats_;
-  std::size_t superstep_ = 0;
+  RunStats stats_;  // its step count is the superstep counter
   // Per-machine cross-network byte tallies: finish_step scratch, kept
   // here so a superstep allocates nothing.
   std::vector<std::uint64_t> egress_;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -30,40 +29,40 @@ struct SuperstepStats {
 };
 
 struct RunStats {
+  /// One record per superstep since the engine was constructed, or since
+  /// it was last restored: a checkpoint carries the totals below, not
+  /// this log.
   std::vector<SuperstepStats> supersteps;
+  /// Field-wise sums over every superstep since construction, restores
+  /// included, and their count. Each total adds the same values in the
+  /// same order as a pass over the whole log would, so wall-time totals
+  /// are bit-identical to such a pass too.
+  SuperstepStats totals;
+  std::size_t steps = 0;
 
-  std::size_t num_supersteps() const { return supersteps.size(); }
+  /// Appends one superstep to the log and to the totals.
+  void record(const SuperstepStats& ss);
 
-  std::uint64_t total_messages_sent() const {
-    return sum(&SuperstepStats::messages_sent);
-  }
+  std::size_t num_supersteps() const { return steps; }
+
+  std::uint64_t total_messages_sent() const { return totals.messages_sent; }
   std::uint64_t total_messages_delivered() const {
-    return sum(&SuperstepStats::messages_delivered);
+    return totals.messages_delivered;
   }
   std::uint64_t total_messages_dropped() const {
-    return sum(&SuperstepStats::messages_dropped);
+    return totals.messages_dropped;
   }
-  std::uint64_t total_bytes_sent() const {
-    return sum(&SuperstepStats::bytes_sent);
-  }
+  std::uint64_t total_bytes_sent() const { return totals.bytes_sent; }
   std::uint64_t total_cross_machine_bytes() const {
-    return sum(&SuperstepStats::cross_machine_bytes);
+    return totals.cross_machine_bytes;
   }
   std::uint64_t total_vertices_halted() const {
-    return sum(&SuperstepStats::vertices_halted);
+    return totals.vertices_halted;
   }
-  std::uint64_t total_vertices_woken() const {
-    return sum(&SuperstepStats::vertices_woken);
-  }
-  double total_compute_seconds() const {
-    return sumd(&SuperstepStats::compute_seconds);
-  }
-  double total_exchange_seconds() const {
-    return sumd(&SuperstepStats::exchange_seconds);
-  }
-  double total_sim_comm_seconds() const {
-    return sumd(&SuperstepStats::sim_comm_seconds);
-  }
+  std::uint64_t total_vertices_woken() const { return totals.vertices_woken; }
+  double total_compute_seconds() const { return totals.compute_seconds; }
+  double total_exchange_seconds() const { return totals.exchange_seconds; }
+  double total_sim_comm_seconds() const { return totals.sim_comm_seconds; }
   /// Simulated cluster run time: local compute + modeled network.
   double total_sim_seconds() const {
     return total_compute_seconds() + total_sim_comm_seconds();
@@ -73,19 +72,6 @@ struct RunStats {
   }
 
   std::string summary() const;
-
- private:
-  template <typename T>
-  std::uint64_t sum(T SuperstepStats::* field) const {
-    std::uint64_t total = 0;
-    for (const auto& s : supersteps) total += s.*field;
-    return total;
-  }
-  double sumd(double SuperstepStats::* field) const {
-    double total = 0;
-    for (const auto& s : supersteps) total += s.*field;
-    return total;
-  }
 };
 
 }  // namespace deltav::pregel

@@ -21,7 +21,12 @@
 
 namespace deltav::pregel {
 
-class WorkerPool {
+// Cache-line aligned (and so sized in whole lines): every worker writes
+// the mutex and counters below at each fork and join, and an owner's
+// members that workers read per vertex (an engine's flag arrays, say)
+// must not share a line with them. Without this the owner's speed varies
+// with where the allocator happens to place it.
+class alignas(64) WorkerPool {
  public:
   explicit WorkerPool(int num_workers);
   ~WorkerPool();

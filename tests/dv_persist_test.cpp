@@ -19,12 +19,17 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
+#include "dv/codegen/native_module.h"
+#include "dv/obs/obs.h"
 #include "dv/persist/fault.h"
 #include "dv/persist/snapshot.h"
+#include "dv/programs/programs.h"
 #include "dv/streaming/stream_session.h"
+#include "dv/testing/persist_check.h"
 #include "graph/graph_builder.h"
 #include "test_util.h"
 
@@ -35,6 +40,7 @@ using dv::streaming::DvStreamSession;
 using dv::streaming::SessionEpoch;
 using dv::streaming::SessionOptions;
 using dv::streaming::make_stream_session;
+using dv::testing::totals_diff;
 using graph::MutationBatch;
 using test::compile_dv;
 using test::small_engine;
@@ -81,6 +87,14 @@ void expect_state_bits_equal(const dv::DvRunResult& got,
         << context << ": state word " << i << " diverged";
 }
 
+/// Tree and VM, plus native where this host can build it.
+std::vector<dv::ExecTier> all_tiers() {
+  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
+  if (dv::native::native_unavailable_reason().empty())
+    tiers.push_back(dv::ExecTier::kNative);
+  return tiers;
+}
+
 void expect_epoch_equal(const SessionEpoch& got, const SessionEpoch& want,
                         const std::string& context) {
   EXPECT_EQ(got.warm, want.warm) << context;
@@ -122,12 +136,15 @@ void sweep_boundaries(const dv::CompiledProgram& cp,
     EXPECT_TRUE(s->converged()) << who;
     EXPECT_EQ(s->epoch(), k) << who;
     expect_state_bits_equal(s->result(), ref_state[k], who);
+    EXPECT_EQ(totals_diff(s->result().stats, ref_state[k].stats), "") << who;
     for (std::size_t bi = k; bi < batches.size(); ++bi) {
       const SessionEpoch ep = s->apply(batches[bi]);
       const std::string tag =
           who + ", replayed epoch " + std::to_string(bi + 1);
       expect_epoch_equal(ep, ref_epochs[bi], tag);
-      expect_state_bits_equal(s->result(), ref_state[bi + 1], tag);
+      const dv::DvRunResult got = s->result();
+      expect_state_bits_equal(got, ref_state[bi + 1], tag);
+      EXPECT_EQ(totals_diff(got.stats, ref_state[bi + 1].stats), "") << tag;
     }
   }
 }
@@ -231,6 +248,41 @@ TEST(PersistRoundTrip, FileSaveRestore) {
   std::remove(path.c_str());
 }
 
+/// The one event named `name` on lane 0 (its name pointer may differ
+/// from the literal's, so compare text).
+obs::TraceEvent only_event(const obs::Collector& col, const char* name) {
+  std::vector<obs::TraceEvent> hits;
+  for (const obs::TraceEvent& e : col.trace.events(0))
+    if (std::string_view(e.name) == name) hits.push_back(e);
+  EXPECT_EQ(hits.size(), 1u) << name;
+  return hits.empty() ? obs::TraceEvent{} : hits.front();
+}
+
+bool contains(const obs::TraceEvent& outer, const obs::TraceEvent& inner) {
+  return outer.start_us <= inner.start_us &&
+         inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us;
+}
+
+TEST(PersistRoundTrip, FileIoHasItsOwnSpans) {
+  // A file save nests persist.write_file under persist.save, and a file
+  // restore persist.read_file under persist.restore, so the parents'
+  // self time is the codec alone.
+  const auto cp = compile_dv(kOpCases[0].source);
+  const std::string path = ::testing::TempDir() + "dv_persist_spans.snap";
+  obs::Collector col;  // a lane per engine worker
+  SessionOptions so = session_opts();
+  so.run.collector = &col;
+  const auto s = make_stream_session(cp, absorbing_graph(), so);
+  s->converge();
+  s->save(path);
+  (void)DvStreamSession::restore(cp, path, so);
+  std::remove(path.c_str());
+  EXPECT_TRUE(contains(only_event(col, "persist.save"),
+                       only_event(col, "persist.write_file")));
+  EXPECT_TRUE(contains(only_event(col, "persist.restore"),
+                       only_event(col, "persist.read_file")));
+}
+
 TEST(PersistRoundTrip, FactoryMatchesDirectConstruction) {
   const auto cp = compile_dv(kOpCases[0].source);
   const auto a = make_stream_session(cp, absorbing_graph(), session_opts());
@@ -264,21 +316,26 @@ TEST(PersistResume, MidConvergeResumeMatchesUninterrupted) {
   const dv::DvRunResult done = ref->converge();
   ASSERT_GE(mid.size(), 3u) << "expected several mid-run checkpoints";
 
-  for (std::size_t i = 0; i < mid.size(); ++i) {
-    const std::string who = "mid-run checkpoint " + std::to_string(i);
-    const auto s =
-        DvStreamSession::restore_bytes(cp, mid[i], session_opts());
-    EXPECT_FALSE(s->converged()) << who;
-    EXPECT_EQ(s->epoch(), 0u) << who;
-    const dv::DvRunResult r = s->converge();
-    EXPECT_TRUE(s->converged()) << who;
-    // The resumed run's cumulative counters continue the saved history:
-    // totals match an uninterrupted run exactly.
-    EXPECT_EQ(r.supersteps, done.supersteps) << who;
-    EXPECT_EQ(r.stats.total_messages_sent(), done.stats.total_messages_sent())
-        << who;
-    expect_state_bits_equal(r, done, who);
-  }
+  // Every checkpoint resumes on every tier (the VM wrote them all).
+  for (const dv::ExecTier tier : all_tiers())
+    for (std::size_t i = 0; i < mid.size(); ++i) {
+      const std::string who = std::string(dv::exec_tier_name(tier)) +
+                              ", mid-run checkpoint " + std::to_string(i);
+      const auto s =
+          DvStreamSession::restore_bytes(cp, mid[i], session_opts(tier));
+      EXPECT_FALSE(s->converged()) << who;
+      EXPECT_EQ(s->epoch(), 0u) << who;
+      const dv::DvRunResult r = s->converge();
+      EXPECT_TRUE(s->converged()) << who;
+      // The resumed run's counters continue the saved totals: they match
+      // an uninterrupted run exactly, while the per-superstep log holds
+      // only the supersteps run since the restore.
+      EXPECT_EQ(r.supersteps, done.supersteps) << who;
+      EXPECT_EQ(totals_diff(r.stats, done.stats), "") << who;
+      EXPECT_LT(r.stats.supersteps.size(), done.stats.supersteps.size())
+          << who;
+      expect_state_bits_equal(r, done, who);
+    }
 }
 
 TEST(PersistResume, MidColdEpochResumeReplaysCompactionAndStream) {
@@ -442,8 +499,9 @@ TEST(PersistFault, MismatchedEngineConfigRejected) {
                dv::persist::SnapshotError);
 }
 
-/// Recomputes every frame CRC and the end marker's file CRC, so a test can
-/// plant a payload inconsistency that the checksums no longer catch.
+/// Recomputes every frame CRC and the end marker's size word and file
+/// CRC, so a test can plant a payload inconsistency that the checksums no
+/// longer catch.
 void reseal(std::vector<std::uint8_t>& b) {
   std::size_t off = 8;  // past the magic
   while (off < b.size()) {
@@ -453,6 +511,8 @@ void reseal(std::vector<std::uint8_t>& b) {
     std::memcpy(&len, b.data() + off + 4, 8);
     const std::size_t frame = 12 + static_cast<std::size_t>(len);
     if (tag == dv::persist::kSecEnd) {
+      const std::uint64_t before = off;
+      std::memcpy(b.data() + off + 12, &before, 8);
       const std::uint32_t file_crc = dv::persist::crc32(b.data(), off);
       std::memcpy(b.data() + off + 12 + 8, &file_crc, 4);
     }
@@ -488,37 +548,120 @@ std::size_t section_end(const std::vector<std::uint8_t>& b,
   return at + static_cast<std::size_t>(len);
 }
 
-TEST(PersistFault, StatsHistoryOverrunRejected) {
-  // The engine section ends with the per-superstep stats history: a u64
-  // count, then 96 bytes per superstep. A count far past the section end
-  // (its byte size even wraps 64 bits) must be refused by name before
-  // anything is sized from it — a bad_alloc or length_error here would
-  // mean the history was allocated first.
+/// Inserts (grow > 0) or erases (grow < 0) bytes at the end of the
+/// payload of the section tagged `tag`, fixing its length word; the
+/// caller reseals.
+void resize_section_tail(std::vector<std::uint8_t>& b, std::uint32_t tag,
+                         std::ptrdiff_t grow) {
+  const std::size_t begin = section_begin(b, tag);
+  const std::size_t end = section_end(b, tag);
+  if (grow > 0)
+    b.insert(b.begin() + static_cast<std::ptrdiff_t>(end),
+             static_cast<std::size_t>(grow), std::uint8_t{0});
+  else
+    b.erase(b.begin() + static_cast<std::ptrdiff_t>(end) + grow,
+            b.begin() + static_cast<std::ptrdiff_t>(end));
+  const std::uint64_t len = end - begin + static_cast<std::uint64_t>(grow);
+  std::memcpy(b.data() + begin - 8, &len, 8);
+}
+
+/// Expects restore to throw a SnapshotError whose message holds `needle`.
+void expect_refused(const dv::CompiledProgram& cp,
+                    const std::vector<std::uint8_t>& bytes,
+                    const std::string& needle, const std::string& who) {
+  try {
+    (void)DvStreamSession::restore_bytes(cp, bytes, session_opts());
+    ADD_FAILURE() << who << ": restored";
+  } catch (const dv::persist::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << who << ": " << e.what();
+  }
+}
+
+TEST(PersistFault, StatsTotalsRecordDamagedRejected) {
+  // The engine section ends with the stats totals: a u64 length, then a
+  // 96-byte record (nine u64 counters, three f64 timings). A record of
+  // any other length must be refused by name, and a length past the
+  // section end before anything reads or sizes from it — a bad_alloc or
+  // length_error here would mean something was.
   const auto cp = compile_dv(kFeedback);
   const auto s = make_stream_session(cp, absorbing_graph(), session_opts());
   s->converge();
-  std::vector<std::uint8_t> bytes = s->save_bytes();
-  const std::size_t steps = s->result().stats.supersteps.size();
-  ASSERT_GT(steps, 0u);
-  const std::size_t at =
-      section_end(bytes, dv::persist::kSecEngine) - steps * 96 - 8;
-  std::uint64_t count;
-  std::memcpy(&count, bytes.data() + at, 8);
-  ASSERT_EQ(count, steps) << "stats history not where the layout puts it";
+  std::vector<std::uint8_t> good = s->save_bytes();
+  const std::size_t at = section_end(good, dv::persist::kSecEngine) - 96 - 8;
+  const auto length_at = [&](const std::vector<std::uint8_t>& b) {
+    std::uint64_t len;
+    std::memcpy(&len, b.data() + at, 8);
+    return len;
+  };
+  const auto set_length = [&](std::vector<std::uint8_t>& b,
+                              std::uint64_t len) {
+    std::memcpy(b.data() + at, &len, 8);
+  };
+  ASSERT_EQ(length_at(good), 96u) << "totals record not where the layout "
+                                     "puts it";
+  std::uint64_t sent;
+  std::memcpy(&sent, good.data() + at + 8, 8);
+  EXPECT_EQ(sent, s->result().stats.total_messages_sent())
+      << "the record does not open with messages_sent";
 
-  reseal(bytes);  // control: resealing alone changes nothing
-  (void)DvStreamSession::restore_bytes(cp, bytes, session_opts());
+  reseal(good);  // control: resealing alone changes nothing
+  (void)DvStreamSession::restore_bytes(cp, good, session_opts());
 
-  count = std::uint64_t{1} << 59;
-  std::memcpy(bytes.data() + at, &count, 8);
-  reseal(bytes);
-  try {
-    (void)DvStreamSession::restore_bytes(cp, bytes, session_opts());
-    FAIL() << "overrunning stats history restored";
-  } catch (const dv::persist::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("'ENGN'"), std::string::npos)
-        << e.what();
+  {
+    std::vector<std::uint8_t> b = good;  // short: 88 bytes, 88 declared
+    resize_section_tail(b, dv::persist::kSecEngine, -8);
+    set_length(b, 88);
+    reseal(b);
+    expect_refused(cp, b, "'ENGN' holds a 88-byte stats totals record",
+                   "short record");
   }
+  {
+    std::vector<std::uint8_t> b = good;  // overlong: 104 bytes declared
+    resize_section_tail(b, dv::persist::kSecEngine, 8);
+    set_length(b, 104);
+    reseal(b);
+    expect_refused(cp, b, "'ENGN' holds a 104-byte stats totals record",
+                   "overlong record");
+  }
+  {
+    std::vector<std::uint8_t> b = good;  // 88 declared, 8 bytes left over
+    set_length(b, 88);
+    reseal(b);
+    expect_refused(cp, b, "'ENGN' holds a 88-byte", "short length");
+  }
+  for (const std::uint64_t len :
+       {std::uint64_t{104}, std::uint64_t{1} << 59, ~std::uint64_t{0}}) {
+    std::vector<std::uint8_t> b = good;  // declared past the section end
+    set_length(b, len);
+    reseal(b);
+    expect_refused(cp, b, "'ENGN' declares an oversized vector",
+                   "length " + std::to_string(len));
+  }
+  {
+    std::vector<std::uint8_t> b = good;  // record cut short, length intact
+    resize_section_tail(b, dv::persist::kSecEngine, -8);
+    reseal(b);
+    expect_refused(cp, b, "'ENGN'", "truncated record");
+  }
+}
+
+TEST(PersistFault, OldFormatVersionRefusedByName) {
+  // The meta section opens with the u32 format version. Version 4 ended
+  // the engine section with the per-superstep history; this build must
+  // refuse such a file by its version, not misparse it.
+  const auto cp = compile_dv(kOpCases[0].source);
+  std::vector<std::uint8_t> bytes = small_snapshot(cp);
+  const std::size_t at = section_begin(bytes, dv::persist::kSecMeta);
+  std::uint32_t version;
+  std::memcpy(&version, bytes.data() + at, 4);
+  ASSERT_EQ(version, 5u) << "format version not where the layout puts it";
+  version = 4;
+  std::memcpy(bytes.data() + at, &version, 4);
+  reseal(bytes);
+  expect_refused(cp, bytes,
+                 "snapshot format version 4, this build reads version 5",
+                 "v4 snapshot");
 }
 
 TEST(PersistFault, UnqueuedLiveVertexRejected) {
@@ -549,6 +692,45 @@ TEST(PersistFault, UnqueuedLiveVertexRejected) {
     EXPECT_NE(std::string(e.what()).find("unqueued"), std::string::npos)
         << e.what();
   }
+}
+
+// ------------------------------------------- size vs uptime
+
+TEST(PersistSize, EngineSectionDoesNotGrowWithEpochs) {
+  // A retraction-memo SSSP session on a fixed graph: each pair of warm
+  // epochs deletes a shortcut arc and puts it back. The engine section
+  // holds per-vertex flags, queues, pending messages and one stats totals
+  // record, so after any even number of epochs it has the same length.
+  graph::GraphBuilder gb(32, /*directed=*/true);
+  gb.keep_weights(true);
+  for (graph::VertexId v = 0; v + 1 < 32; ++v) gb.add_edge(v, v + 1, 1.0);
+  for (graph::VertexId v = 0; v + 3 < 32; v += 2) gb.add_edge(v, v + 3, 2.5);
+  const auto cp = compile_dv(dv::programs::kSsspRetract);
+  SessionOptions so = session_opts();
+  so.run.params = {{"source", dv::Value::of_int(0)}};
+  const auto s = make_stream_session(cp, gb.build(), so);
+  s->converge();
+  const auto engine_bytes = [&] {
+    const std::vector<std::uint8_t> b = s->save_bytes();
+    return section_end(b, dv::persist::kSecEngine) -
+           section_begin(b, dv::persist::kSecEngine);
+  };
+  std::size_t warm = 0, epochs = 0, at_10 = 0;
+  const std::size_t steps_at_converge = s->result().stats.num_supersteps();
+  while (epochs < 2000) {
+    MutationBatch del;
+    del.remove_edge(10, 13);
+    warm += s->apply(del).warm ? 1 : 0;
+    MutationBatch ins;
+    ins.insert_edge(10, 13, 2.5);
+    warm += s->apply(ins).warm ? 1 : 0;
+    epochs += 2;
+    if (epochs == 10) at_10 = engine_bytes();
+  }
+  EXPECT_EQ(warm, epochs) << "an epoch fell back to a cold rebuild";
+  EXPECT_GE(s->result().stats.num_supersteps(), steps_at_converge + epochs)
+      << "the epochs ran fewer supersteps than the test assumes";
+  EXPECT_EQ(engine_bytes(), at_10);
 }
 
 TEST(PersistFault, MissingFileThrows) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "dv/testing/persist_check.h"
 #include "pregel/engine.h"
 #include "test_util.h"
 
@@ -835,8 +836,7 @@ TEST(Engine, QueueInvariantHoldsAcrossEveryScheduleOperation) {
   expect_queue_invariant(e, "activate after grow");
 
   IntEngine r(16, test::small_engine(3));
-  RunStats history = e.stats();
-  r.restore(e.checkpoint(), std::move(history));
+  r.restore(e.checkpoint());
   expect_queue_invariant(r, "restore");
   EXPECT_EQ(r.num_unhalted(), 2u);
   std::vector<int> ran;
@@ -850,6 +850,70 @@ TEST(Engine, QueueInvariantHoldsAcrossEveryScheduleOperation) {
   EXPECT_EQ(ran, (std::vector<int>{5, 12}));
 }
 
+/// Sums the log field by field, in superstep order.
+SuperstepStats sum_of_log(const RunStats& s) {
+  SuperstepStats t;
+  for (const SuperstepStats& ss : s.supersteps) {
+    t.messages_sent += ss.messages_sent;
+    t.messages_delivered += ss.messages_delivered;
+    t.messages_dropped += ss.messages_dropped;
+    t.bytes_sent += ss.bytes_sent;
+    t.bytes_delivered += ss.bytes_delivered;
+    t.cross_machine_bytes += ss.cross_machine_bytes;
+    t.active_vertices += ss.active_vertices;
+    t.vertices_halted += ss.vertices_halted;
+    t.vertices_woken += ss.vertices_woken;
+    t.compute_seconds += ss.compute_seconds;
+    t.exchange_seconds += ss.exchange_seconds;
+    t.sim_comm_seconds += ss.sim_comm_seconds;
+  }
+  return t;
+}
+
+// The totals are the log's sums (timings bit for bit: same additions in
+// the same order). A restore carries the totals and the superstep count
+// but starts an empty log, and the restored run's totals end where an
+// uninterrupted run's do.
+TEST(Engine, RestoreContinuesTotalsAndRestartsTheLog) {
+  // A token walks a 12-vertex ring twice; the other vertices halt.
+  const auto walk = [](auto& ctx, VertexId v, std::span<const int> msgs) {
+    const int hops = ctx.superstep() == 0 ? (v == 0 ? 1 : 0)
+                     : msgs.empty()       ? 0
+                                          : msgs[0] + 1;
+    if (hops > 0 && hops <= 24) ctx.send((v + 1) % 12, hops);
+    ctx.vote_to_halt();
+  };
+  IntEngine ref(12, test::small_engine(3));
+  ref.run(walk);
+  const RunStats& want = ref.stats();
+  ASSERT_EQ(want.num_supersteps(), 25u);
+  ASSERT_EQ(want.supersteps.size(), 25u);
+  RunStats logged;
+  logged.totals = sum_of_log(want);
+  logged.steps = want.supersteps.size();
+  EXPECT_EQ(dv::testing::totals_diff(want, logged), "");
+  EXPECT_EQ(want.totals.compute_seconds, logged.totals.compute_seconds);
+  EXPECT_EQ(want.totals.exchange_seconds, logged.totals.exchange_seconds);
+  EXPECT_EQ(want.totals.sim_comm_seconds, logged.totals.sim_comm_seconds);
+  EXPECT_EQ(want.total_messages_sent(), 24u);
+
+  for (const std::size_t cut : {0u, 1u, 13u, 25u}) {
+    const std::string who = "restored after " + std::to_string(cut);
+    IntEngine e(12, test::small_engine(3));
+    e.run(walk, cut);
+    IntEngine r(12, test::small_engine(3));
+    r.restore(e.checkpoint());
+    EXPECT_EQ(r.superstep(), cut) << who;
+    EXPECT_EQ(r.stats().num_supersteps(), cut) << who;
+    EXPECT_TRUE(r.stats().supersteps.empty()) << who;
+    EXPECT_EQ(dv::testing::totals_diff(r.stats(), e.stats()), "") << who;
+    r.run(walk);
+    EXPECT_EQ(r.stats().num_supersteps(), 25u) << who;
+    EXPECT_EQ(r.stats().supersteps.size(), 25u - cut) << who;
+    EXPECT_EQ(dv::testing::totals_diff(r.stats(), want), "") << who;
+  }
+}
+
 TEST(Engine, RestoreRefusesCheckpointsThatBreakTheInvariant) {
   IntEngine e(8, test::small_engine(2));
   e.step([&](auto& ctx, VertexId v, std::span<const int>) {
@@ -860,7 +924,7 @@ TEST(Engine, RestoreRefusesCheckpointsThatBreakTheInvariant) {
                                   const std::string& why) {
     IntEngine r(8, test::small_engine(2));
     try {
-      r.restore(std::move(c), RunStats{});
+      r.restore(std::move(c));
       ADD_FAILURE() << "restore accepted a checkpoint: " << why;
     } catch (const CheckError& err) {
       EXPECT_NE(std::string(err.what()).find(why), std::string::npos)
@@ -895,7 +959,7 @@ TEST(Engine, RestoreRefusesCheckpointsThatBreakTheInvariant) {
     expect_refused(std::move(c), "unhalted");
   }
   IntEngine r(8, test::small_engine(2));
-  r.restore(IntEngine::Checkpoint(good), RunStats{});  // control
+  r.restore(IntEngine::Checkpoint(good));  // control
   EXPECT_EQ(r.num_unhalted(), 2u);
 }
 
