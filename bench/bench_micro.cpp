@@ -121,13 +121,22 @@ dv::ExecTier tier_of(const benchmark::State& state) {
   return state.range(0) ? dv::ExecTier::kVm : dv::ExecTier::kTree;
 }
 
+/// Counts buffered contributions. With a table bound to `router`, routed
+/// sites fold into its pending slots first, as the runner's engine sink
+/// does.
 class DevNullSink final : public dv::SendSink {
  public:
   std::uint64_t count = 0;
-  void send(graph::VertexId, const dv::DvMessage&) override { ++count; }
-  void send_span(std::span<const graph::VertexId> dsts,
-                 const dv::DvMessage&) override {
+  dv::FoldRouter router;
+  std::uint64_t send(graph::VertexId dst,
+                     const dv::DvMessage& msg) override {
+    return send_span({&dst, 1}, msg);
+  }
+  std::uint64_t send_span(std::span<const graph::VertexId> dsts,
+                          const dv::DvMessage& msg) override {
+    if (router.fold(dsts, msg)) return 0;
     count += dsts.size();
+    return dsts.size();
   }
 };
 
@@ -302,8 +311,8 @@ BENCHMARK(BM_TierDeltaFold)->Arg(0)->Arg(1)->ArgNames({"vm"});
 // The lock-free fold path priced at the edge level: the identical ΔV
 // PageRank body swept over every vertex with buffered Δ-sends (message
 // construction into a sink) vs atomic folds (CAS into the shared pending
-// slot + frontier-bitmap mark, via the VM's kSendDeltaAtomic
-// superinstruction). The per-edge difference measured here is the
+// slot + frontier-bitmap mark, decided per send by the sink's FoldRouter
+// exactly as in the runner). The per-edge difference measured here is the
 // constant factor behind bench_stream's epoch-throughput comparison —
 // the streaming win comes from the exchange-free superstep shape, not
 // from the fold itself being cheaper per edge.
@@ -324,7 +333,7 @@ void BM_FoldPathSendLoop(benchmark::State& state) {
         site.elem_type, dv::agg_identity(site.op, site.elem_type)));
     table.reset(fx.g.num_vertices());
     lane.reset(fx.g.num_vertices(), table.columns());
-    fx.vm.specialize_atomic(table.route);
+    fx.sink.router = {&table, &lane};
   }
   for (auto _ : state) {
     state.PauseTiming();
@@ -332,10 +341,6 @@ void BM_FoldPathSendLoop(benchmark::State& state) {
     state.ResumeTiming();
     for (std::size_t v = 0; v < fx.g.num_vertices(); ++v) {
       auto ctx = fx.ctx_for(static_cast<graph::VertexId>(v));
-      if (atomic) {
-        ctx.atomic = &table;
-        ctx.atomic_lane = &lane;
-      }
       fx.run_body(dv::ExecTier::kVm, ctx);
     }
     benchmark::DoNotOptimize(atomic ? lane.folds : fx.sink.count);

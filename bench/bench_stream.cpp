@@ -433,7 +433,7 @@ int main(int argc, char** argv) {
         });
         const bench::Metrics warm_atomic = bench::averaged(reps, [&] {
           return run_stream(w, tier, workers, /*force_cold=*/false,
-                            dv::FoldPath::kAtomic, opt_in);
+                            dv::FoldPath::kAuto, opt_in);
         });
         for (const auto& [system, fold, met] :
              {std::tuple{"warm-buffered", "buffered", &warm_buf},

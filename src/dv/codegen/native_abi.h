@@ -27,7 +27,11 @@
 
 namespace deltav::dv::native {
 
-inline constexpr std::uint32_t kDvnAbiVersion = 1;
+/// v2: send/send_span return how many contributions the host sink
+/// buffered as messages (the rest it folded lock-free), and the fold-path
+/// route and atomic-fold callback are gone — the host sink alone decides
+/// the fold path, so emitted code only ever sends.
+inline constexpr std::uint32_t kDvnAbiVersion = 2;
 
 extern "C" {
 
@@ -53,8 +57,8 @@ struct DvnMsg {
 
 /// Everything one root-function call can touch. Plain pointers into the
 /// runner's EvalContext spans plus host callbacks for the graph, the send
-/// sink, the lock-free fold path and metrics. `host` is an opaque pointer
-/// to the EvalContext; callbacks live in native_module.cpp.
+/// sink and metrics. `host` is an opaque pointer to the EvalContext;
+/// callbacks live in native_module.cpp.
 struct DvnCtx {
   // Per-vertex views (null/0 for global until evaluation).
   DvnValue* fields;
@@ -78,9 +82,6 @@ struct DvnCtx {
 
   // Send/site tables.
   const std::uint8_t* site_wire;
-  // Per-site atomic-fold column, -1 = buffered. Null when no site routes
-  // through the lock-free path under this runner's options.
-  const std::int32_t* atomic_route;
   std::uint8_t has_obs;
 
   // Host callbacks. All take `host` first.
@@ -91,14 +92,11 @@ struct DvnCtx {
                const double** wts, std::uint64_t* n_nbrs,
                std::uint64_t* n_wts);
   std::uint64_t (*degree)(void* host, std::uint8_t dir_in);
-  void (*send)(void* host, std::uint32_t dst, const DvnMsg* msg);
-  void (*send_span)(void* host, const std::uint32_t* dsts, std::uint64_t n,
-                    const DvnMsg* msg);
-  /// Folds a Δ-payload into the receiver's pending slot (atomic_fold.h);
-  /// returns 1 when folded (lane marked, fold counted), 0 when the payload
-  /// cannot take the CAS path (NaN) and must be sent buffered.
-  std::int32_t (*atomic_fold)(void* host, std::uint32_t dst,
-                              std::int32_t col, const DvnValue* payload);
+  /// SendSink::send / send_span: each returns how many contributions were
+  /// buffered as messages (the sink may fold the rest lock-free).
+  std::uint64_t (*send)(void* host, std::uint32_t dst, const DvnMsg* msg);
+  std::uint64_t (*send_span)(void* host, const std::uint32_t* dsts,
+                             std::uint64_t n, const DvnMsg* msg);
   /// MetricsShard::add by counter-enum value. Only called when has_obs.
   void (*obs_add)(void* host, std::uint32_t counter, std::uint64_t n);
 };

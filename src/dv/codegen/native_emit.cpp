@@ -400,9 +400,10 @@ class NativeEmitter {
   }
 
   /// Broadcast over one neighbor span (runtime/interpreter.cpp
-  /// eval_send_loop): last-execution suppression, then the lock-free fold
-  /// path for routed Δ-sites, else the buffered loop — with the whole-span
-  /// single-synthesis specialization when the payload is span-invariant.
+  /// eval_send_loop): last-execution suppression, then the send loop —
+  /// with the whole-span single-synthesis specialization when the payload
+  /// is span-invariant. The host sink picks the fold path per send and
+  /// returns how many contributions it buffered; only those are counted.
   void gen_send_loop(const Expr& e) {
     const AggSite& site = prog_.sites[static_cast<std::size_t>(e.site)];
     const std::string op = std::to_string(static_cast<int>(site.op));
@@ -421,9 +422,6 @@ class NativeEmitter {
     line("if (ctx.has_obs) ctx.obs_add(ctx.host, "
          "kObsLastStepSendsSuppressed, dvn_nt);");
     reopen("} else {");
-    if (e.flag)
-      line("const std::int32_t dvn_acol = ctx.atomic_route ? "
-           "ctx.atomic_route[" + S + "] : -1;");
 
     const auto set_envelope = [&](const char* msg) {
       line(std::string(msg) + ".site = (std::uint8_t)" + S + "; " + msg +
@@ -442,24 +440,14 @@ class NativeEmitter {
       open("if (dvn_d.noop) {");
       line("if (ctx.has_obs) ctx.obs_add(ctx.host, kObsSendsSuppressed, "
            "dvn_nt);");
-      reopen("} else if (dvn_acol >= 0) {");
-      // Fused Δ-send/Δ-fold: one synthesized Δ, folded lock-free into
-      // every receiver's pending slot; NaN payloads fall back per edge.
-      line("DvnMsg dvn_msg; dvn_msg.payload = dvn_d.value; "
-           "dvn_msg.nulls = 0; dvn_msg.denulls = 0;");
-      set_envelope("dvn_msg");
-      open("for (std::uint64_t dvn_ei = 0; dvn_ei < dvn_nt; ++dvn_ei) {");
-      line("if (!ctx.atomic_fold(ctx.host, dvn_tg[dvn_ei], dvn_acol, "
-           "&dvn_d.value))");
-      line("  ctx.send(ctx.host, dvn_tg[dvn_ei], &dvn_msg);");
-      close();
       reopen("} else {");
       line("DvnMsg dvn_msg; dvn_msg.payload = dvn_d.value; "
            "dvn_msg.nulls = dvn_d.nulls; dvn_msg.denulls = dvn_d.denulls;");
       set_envelope("dvn_msg");
-      line("ctx.send_span(ctx.host, dvn_tg, dvn_nt, &dvn_msg);");
+      line("const std::uint64_t dvn_sent = "
+           "ctx.send_span(ctx.host, dvn_tg, dvn_nt, &dvn_msg);");
       line("if (ctx.has_obs) ctx.obs_add(ctx.host, kObsDeltaMessages, "
-           "dvn_nt);");
+           "dvn_sent);");
       close();
       close();
     } else if (invariant) {
@@ -474,49 +462,31 @@ class NativeEmitter {
       line("DvnMsg dvn_msg; dvn_msg.payload = dvn_pl; dvn_msg.nulls = 0; "
            "dvn_msg.denulls = 0;");
       set_envelope("dvn_msg");
-      line("ctx.send_span(ctx.host, dvn_tg, dvn_nt, &dvn_msg);");
+      line("const std::uint64_t dvn_sent = "
+           "ctx.send_span(ctx.host, dvn_tg, dvn_nt, &dvn_msg);");
       line("if (ctx.has_obs) ctx.obs_add(ctx.host, kObsFullMessages, "
-           "dvn_nt);");
+           "dvn_sent);");
       close();
       close();
     } else if (e.flag) {
       line("std::uint64_t dvn_sup = 0, dvn_sent = 0;");
-      const auto delta_head = [&] {
-        line("ctx.cur_edge_weight = dvn_nw ? dvn_wt[dvn_ei] : 1.0;");
-        const std::string nv = gen(*e.kids[0]);
-        const std::string ov = gen(*e.kids[1]);
-        line("const DvnValue dvn_nv = dvn_coerce(" + nv + ", " + tg + ");");
-        line("const DvnValue dvn_ov = dvn_coerce(" + ov + ", " + tg + ");");
-        line("const DvnDelta dvn_d = dvn_synth_delta(" + op + ", " + tg +
-             ", dvn_ov, dvn_nv);");
-        line("if (dvn_d.noop) { ++dvn_sup; continue; }");
-      };
-      open("if (dvn_acol >= 0) {");
       open("for (std::uint64_t dvn_ei = 0; dvn_ei < dvn_nt; ++dvn_ei) {");
-      delta_head();
-      open("if (!ctx.atomic_fold(ctx.host, dvn_tg[dvn_ei], dvn_acol, "
-           "&dvn_d.value)) {");
-      line("DvnMsg dvn_msg; dvn_msg.payload = dvn_d.value; "
-           "dvn_msg.nulls = 0; dvn_msg.denulls = 0;");
-      set_envelope("dvn_msg");
-      line("ctx.send(ctx.host, dvn_tg[dvn_ei], &dvn_msg);");
-      close();
-      close();
-      line("if (ctx.has_obs) ctx.obs_add(ctx.host, kObsSendsSuppressed, "
-           "dvn_sup);");
-      reopen("} else {");
-      open("for (std::uint64_t dvn_ei = 0; dvn_ei < dvn_nt; ++dvn_ei) {");
-      delta_head();
+      line("ctx.cur_edge_weight = dvn_nw ? dvn_wt[dvn_ei] : 1.0;");
+      const std::string nv = gen(*e.kids[0]);
+      const std::string ov = gen(*e.kids[1]);
+      line("const DvnValue dvn_nv = dvn_coerce(" + nv + ", " + tg + ");");
+      line("const DvnValue dvn_ov = dvn_coerce(" + ov + ", " + tg + ");");
+      line("const DvnDelta dvn_d = dvn_synth_delta(" + op + ", " + tg +
+           ", dvn_ov, dvn_nv);");
+      line("if (dvn_d.noop) { ++dvn_sup; continue; }");
       line("DvnMsg dvn_msg; dvn_msg.payload = dvn_d.value; "
            "dvn_msg.nulls = dvn_d.nulls; dvn_msg.denulls = dvn_d.denulls;");
       set_envelope("dvn_msg");
-      line("ctx.send(ctx.host, dvn_tg[dvn_ei], &dvn_msg);");
-      line("++dvn_sent;");
+      line("dvn_sent += ctx.send(ctx.host, dvn_tg[dvn_ei], &dvn_msg);");
       close();
       open("if (ctx.has_obs) {");
       line("ctx.obs_add(ctx.host, kObsSendsSuppressed, dvn_sup);");
       line("ctx.obs_add(ctx.host, kObsDeltaMessages, dvn_sent);");
-      close();
       close();
     } else {
       line("std::uint64_t dvn_sup = 0, dvn_sent = 0;");
@@ -529,8 +499,7 @@ class NativeEmitter {
       line("DvnMsg dvn_msg; dvn_msg.payload = dvn_pl; dvn_msg.nulls = 0; "
            "dvn_msg.denulls = 0;");
       set_envelope("dvn_msg");
-      line("ctx.send(ctx.host, dvn_tg[dvn_ei], &dvn_msg);");
-      line("++dvn_sent;");
+      line("dvn_sent += ctx.send(ctx.host, dvn_tg[dvn_ei], &dvn_msg);");
       close();
       open("if (ctx.has_obs) {");
       line("ctx.obs_add(ctx.host, kObsSendsSuppressed, dvn_sup);");
@@ -602,18 +571,15 @@ struct DvnCtx {
   std::uint8_t halt_requested;
   std::uint8_t any_field_assign;
   const std::uint8_t* site_wire;
-  const std::int32_t* atomic_route;
   std::uint8_t has_obs;
   void* host;
   void (*arcs)(void* host, std::uint8_t dir_in, const std::uint32_t** nbrs,
                const double** wts, std::uint64_t* n_nbrs,
                std::uint64_t* n_wts);
   std::uint64_t (*degree)(void* host, std::uint8_t dir_in);
-  void (*send)(void* host, std::uint32_t dst, const DvnMsg* msg);
-  void (*send_span)(void* host, const std::uint32_t* dsts, std::uint64_t n,
-                    const DvnMsg* msg);
-  std::int32_t (*atomic_fold)(void* host, std::uint32_t dst,
-                              std::int32_t col, const DvnValue* payload);
+  std::uint64_t (*send)(void* host, std::uint32_t dst, const DvnMsg* msg);
+  std::uint64_t (*send_span)(void* host, const std::uint32_t* dsts,
+                             std::uint64_t n, const DvnMsg* msg);
   void (*obs_add)(void* host, std::uint32_t counter, std::uint64_t n);
 };
 typedef void (*DvnRootFn)(DvnCtx*, DvnValue*);

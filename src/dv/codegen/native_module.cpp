@@ -268,27 +268,16 @@ std::uint64_t t_degree(void* host, std::uint8_t dir_in) {
                 : ctx.graph->out_degree(ctx.vertex);
 }
 
-void t_send(void* host, std::uint32_t dst, const DvnMsg* msg) {
-  host_ctx(host).sink->send(dst,
-                            *reinterpret_cast<const DvMessage*>(msg));
+std::uint64_t t_send(void* host, std::uint32_t dst, const DvnMsg* msg) {
+  return host_ctx(host).sink->send(
+      dst, *reinterpret_cast<const DvMessage*>(msg));
 }
 
-void t_send_span(void* host, const std::uint32_t* dsts, std::uint64_t n,
-                 const DvnMsg* msg) {
-  host_ctx(host).sink->send_span(
+std::uint64_t t_send_span(void* host, const std::uint32_t* dsts,
+                          std::uint64_t n, const DvnMsg* msg) {
+  return host_ctx(host).sink->send_span(
       std::span<const graph::VertexId>(dsts, n),
       *reinterpret_cast<const DvMessage*>(msg));
-}
-
-std::int32_t t_atomic_fold(void* host, std::uint32_t dst, std::int32_t col,
-                           const DvnValue* payload) {
-  EvalContext& ctx = host_ctx(host);
-  if (!ctx.atomic->fold(dst, col,
-                        *reinterpret_cast<const Value*>(payload)))
-    return 0;
-  ctx.atomic_lane->mark(dst, col);
-  ++ctx.atomic_lane->folds;
-  return 1;
 }
 
 void t_obs_add(void* host, std::uint32_t counter, std::uint64_t n) {
@@ -326,14 +315,12 @@ Value NativeProgram::run_root(int idx, EvalContext& ctx) const {
   c.halt_requested = ctx.halt_requested ? 1 : 0;
   c.any_field_assign = ctx.any_field_assign ? 1 : 0;
   c.site_wire = ctx.site_wire ? ctx.site_wire->data() : nullptr;
-  c.atomic_route = ctx.atomic ? ctx.atomic->route.data() : nullptr;
   c.has_obs = ctx.obs ? 1 : 0;
   c.host = &ctx;
   c.arcs = &t_arcs;
   c.degree = &t_degree;
   c.send = &t_send;
   c.send_span = &t_send_span;
-  c.atomic_fold = &t_atomic_fold;
   c.obs_add = &t_obs_add;
 
   DvnValue ret;

@@ -105,13 +105,16 @@ struct alignas(64) MetricsShard {
 class MetricsRegistry {
  public:
   /// `lanes` must cover the widest worker pool that will record into this
-  /// registry; out-of-range lanes alias lane 0 (still correct, worst case
-  /// contended — but the engine caps workers well below the default).
+  /// registry. An out-of-range lane aliases lane 0, whose shard is not
+  /// synchronized: two threads on one shard race. The engine and the
+  /// runner therefore refuse a narrower collector up front
+  /// (obs::resolve_for).
   explicit MetricsRegistry(std::size_t lanes = kDefaultLanes);
 
   MetricsShard& shard(std::size_t lane) {
     return shards_[lane < shards_.size() ? lane : 0];
   }
+  std::size_t num_lanes() const { return shards_.size(); }
 
   /// Cold-path string-keyed counter (e.g. "stream.warm_blocked.<reason>").
   void add_named(const std::string& name, std::uint64_t n = 1);

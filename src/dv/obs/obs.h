@@ -17,6 +17,7 @@
 
 #include <atomic>
 
+#include "common/check.h"
 #include "dv/obs/metrics.h"
 #include "dv/obs/trace.h"
 
@@ -52,6 +53,21 @@ inline Collector* install(Collector* c) {
 /// resolution rule every instrumented subsystem uses.
 inline Collector* resolve(Collector* explicit_collector) {
   return explicit_collector ? explicit_collector : current();
+}
+
+/// resolve(), for a pool of `workers` threads that each record into their
+/// own lane (lane w == worker w). A collector with fewer lanes is refused:
+/// its out-of-range workers would share lane 0's unsynchronized shard.
+inline Collector* resolve_for(Collector* explicit_collector,
+                              std::size_t workers) {
+  Collector* const c = resolve(explicit_collector);
+  DV_CHECK_MSG(c == nullptr || c->metrics.num_lanes() >= workers,
+               "obs::Collector has " << c->metrics.num_lanes()
+                                     << " lanes but the engine runs "
+                                     << workers
+                                     << " workers; it needs one lane per "
+                                        "worker");
+  return c;
 }
 
 /// RAII span: records [construction, destruction) on `lane` of the

@@ -12,12 +12,20 @@
 // field via the same apply_delta the buffered path uses, resets the slot
 // to the identity, and wakes the vertex — replacing the exchange scan.
 //
+// The execution tiers never see this choice: they hand every Δ-send to
+// the runner's sink, and the sink asks FoldRouter (below) — the only
+// reader of AtomicFoldTable::route — whether the send folds here or goes
+// to the engine as a message.
+//
 // Correctness contract (DESIGN.md "Fold paths"):
 //  * pending slots hold the ⊞-fold of every contribution since the last
 //    drain, starting from the identity. For integer + that fold is a
 //    wrapping fetch_add; for min/max a CAS publishes the winning bits.
 //    Both are order-independent, so results are bit-identical to any
 //    buffered delivery order.
+//  * a NaN float payload never folds: CAS equality over NaN bits is not
+//    the fold's ordering, so FoldRouter leaves that contribution to the
+//    buffered path.
 //  * the drain applies a marked slot UNCONDITIONALLY, even when it still
 //    holds identity bits: the buffered path also delivers messages whose
 //    combined payload equals the identity (e.g. −0.0 + 0.0), and folding
@@ -35,8 +43,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
+#include "dv/runtime/message.h"
 #include "dv/runtime/value.h"
 #include "graph/csr_graph.h"
 
@@ -47,7 +57,6 @@ namespace deltav::dv {
 enum class FoldPath : std::uint8_t {
   kAuto,      // atomic wherever the pass proved eligibility (default)
   kBuffered,  // always buffer — the general fallback, and the oracle
-  kAtomic,    // force the atomic path on every eligible site
 };
 
 inline std::uint64_t atomic_fold_bits(Type t, const Value& v) {
@@ -105,32 +114,36 @@ struct AtomicFoldTable {
     slots.swap(fresh);
   }
 
-  /// Folds one Δ-contribution into (dst, column). Integer sum is a single
-  /// wrapping fetch_add; everything else is a CAS loop publishing
-  /// agg_apply(cur, payload)'s bits. Returns false when the payload cannot
-  /// be folded atomically (NaN float — CAS equality over NaN bits is not
-  /// the fold's ordering) and the caller must fall back to a buffered
-  /// message for this one contribution.
-  bool fold(graph::VertexId dst, int column, const Value& payload) {
+  /// True when `payload` can fold into `column` atomically: everything
+  /// but a NaN float, whose CAS equality over bits is not the fold's
+  /// ordering.
+  bool foldable(int column, const Value& payload) const {
+    return types[static_cast<std::size_t>(column)] != Type::kFloat ||
+           !std::isnan(payload.as_f());
+  }
+
+  /// Folds one foldable Δ-contribution into (dst, column). Integer sum is
+  /// a single wrapping fetch_add; everything else is a CAS loop publishing
+  /// agg_apply(cur, payload)'s bits.
+  void fold(graph::VertexId dst, int column, const Value& payload) {
     const AggOp op = ops[static_cast<std::size_t>(column)];
     const Type t = types[static_cast<std::size_t>(column)];
     std::atomic<std::uint64_t>& slot = slots[slot_index(dst, column)];
     if (op == AggOp::kSum && t == Type::kInt) {
       slot.fetch_add(static_cast<std::uint64_t>(payload.as_i()),
                      std::memory_order_relaxed);
-      return true;
+      return;
     }
-    if (t == Type::kFloat && std::isnan(payload.as_f())) return false;
     const Value contrib = payload.coerce(t);
     std::uint64_t cur = slot.load(std::memory_order_relaxed);
     for (;;) {
       const Value folded =
           agg_apply(op, t, atomic_fold_value(t, cur), contrib);
       const std::uint64_t want = atomic_fold_bits(t, folded);
-      if (want == cur) return true;  // contribution cannot win — done
+      if (want == cur) return;  // contribution cannot win — done
       if (slot.compare_exchange_weak(cur, want, std::memory_order_relaxed,
                                      std::memory_order_relaxed))
-        return true;
+        return;
     }
   }
 
@@ -165,6 +178,40 @@ struct AtomicFoldLane {
     words[static_cast<std::size_t>(column) * words_per_column +
           (static_cast<std::size_t>(v) >> 6)] |=
         std::uint64_t{1} << (static_cast<std::size_t>(v) & 63);
+  }
+};
+
+/// Decides, per Δ-send, between the two fold paths: a routed site's
+/// foldable payload folds into the shared pending slots and marks the
+/// caller's lane; everything else — unrouted sites, NaN payloads, and any
+/// send while no table is bound — is left for the caller to deliver as a
+/// message. The runner's engine sink, which every tier sends through, and
+/// its epoch-start direct apply both ask here, so the route is read in
+/// one place.
+struct FoldRouter {
+  AtomicFoldTable* table = nullptr;  // null: every site buffers
+  AtomicFoldLane* lane = nullptr;    // the caller's worker lane
+
+  /// True when `site` folds through the pending slots.
+  bool routes(int site) const {
+    return table != nullptr &&
+           table->route[static_cast<std::size_t>(site)] >= 0;
+  }
+
+  /// Folds `msg` into every destination's pending slot and returns true,
+  /// or folds nothing and returns false when the whole span must be
+  /// buffered. Foldability depends on the payload alone, so one span is
+  /// never split between the paths.
+  bool fold(std::span<const graph::VertexId> dsts, const DvMessage& msg) {
+    if (table == nullptr) return false;
+    const int col = table->route[msg.site];
+    if (col < 0 || !table->foldable(col, msg.payload)) return false;
+    for (const graph::VertexId dst : dsts) {
+      table->fold(dst, col, msg.payload);
+      lane->mark(dst, col);
+    }
+    lane->folds += dsts.size();
+    return true;
   }
 };
 

@@ -710,7 +710,6 @@ const char* op_name(Op op) {
     case Op::kFoldDelta: return "fold.delta";
     case Op::kSendDelta: return "send.delta";
     case Op::kSendFull: return "send.full";
-    case Op::kSendDeltaAtomic: return "send.delta.atomic";
     case Op::kDivGraphSizeF: return "div.n.f";
     case Op::kDivDegOutF: return "div.degout.f";
     case Op::kCopyFieldScratchF: return "cpfs.f";
@@ -769,7 +768,6 @@ std::string to_string(const VmProgram& vp) {
       os << "  " << pc << ": " << op_name(ins.op);
       switch (ins.op) {
         case Op::kSendDelta:
-        case Op::kSendDeltaAtomic:
         case Op::kSendFull: {
           os << " site=" << ins.imm << " new=" << send_src_name(
                 send_operand_src(ins.b)) << ":" << send_operand_index(ins.b);

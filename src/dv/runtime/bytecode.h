@@ -104,12 +104,6 @@ enum class Op : std::uint8_t {
               // send loop evaluated false — count the skipped fan-out
               // (a = push direction) into dv.sends_suppressed. Emitted on
               // the guard's else edge; pure no-op without a shard.
-  // ---- lock-free fold path (atomic_fold.h) ----
-  kSendDeltaAtomic,  // kSendDelta specialized per runner when site imm is
-                     // routed through the atomic fold path: the Δ folds
-                     // into the receiver's pending slot via fetch-add/CAS
-                     // instead of constructing a message. Same operands as
-                     // kSendDelta; rewritten by Vm::specialize_atomic.
 };
 
 /// Payload operand of a send superinstruction, packed into a uint16:

@@ -110,55 +110,11 @@ Value eval_send_loop(const Expr& e, EvalContext& ctx) {
   const int rcol =
       ctx.retract ? ctx.retract->route[static_cast<std::size_t>(e.site)] : -1;
 
-  const int acol =
-      ctx.atomic ? ctx.atomic->route[static_cast<std::size_t>(e.site)] : -1;
-  if (acol >= 0 && e.flag) {
-    // Lock-free fold path: this site's ⊞ is commutative-associative, so
-    // the Δ folds straight into the receiver's pending slot — no message
-    // is constructed. Semantically identical to the buffered loop below:
-    // the same synthesize_delta, the same no-op suppression, and the
-    // post-step drain applies exactly what a buffered delivery would.
-    std::uint64_t n_suppressed = 0, n_folded = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[i];
-      const Value new_v = eval(*e.kids[0], ctx).coerce(site.elem_type);
-      const Value old_v = eval(*e.kids[1], ctx).coerce(site.elem_type);
-      const DeltaPayload d =
-          synthesize_delta(site.op, site.elem_type, old_v, new_v);
-      if (rcol >= 0)
-        ctx.retract_lane->record(targets[i],
-                                 static_cast<std::uint32_t>(v), rcol,
-                                 atomic_fold_bits(site.elem_type, new_v));
-      if (d.noop) {
-        ++n_suppressed;
-        continue;
-      }
-      if (ctx.atomic->fold(targets[i], acol, d.value)) {
-        ctx.atomic_lane->mark(targets[i], acol);
-        ++n_folded;
-      } else {
-        // NaN payload: CAS bits cannot express the fold's ordering —
-        // this one contribution takes the buffered path.
-        DvMessage msg;
-        msg.site = static_cast<std::uint8_t>(e.site);
-        msg.wire = (*ctx.site_wire)[static_cast<std::size_t>(e.site)];
-        msg.payload = d.value;
-        ctx.sink->send(targets[i], msg);
-      }
-    }
-    ctx.atomic_lane->folds += n_folded;
-    DV_OBS_COUNT(ctx.obs, kSendsSuppressed, n_suppressed);
-    return unit();
-  }
-
   std::uint64_t n_suppressed = 0, n_delta = 0, n_full = 0;
   const std::uint8_t wire = (*ctx.site_wire)[static_cast<std::size_t>(
       e.site)];
   for (std::size_t i = 0; i < targets.size(); ++i) {
     ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[i];
-    DvMessage msg;
-    msg.site = static_cast<std::uint8_t>(e.site);
-    msg.wire = wire;
     if (e.flag) {
       // §6.5 Δ-message: ∆_old(new), synthesized per operator (Eq. 11).
       const Value new_v = eval(*e.kids[0], ctx).coerce(site.elem_type);
@@ -173,10 +129,7 @@ Value eval_send_loop(const Expr& e, EvalContext& ctx) {
         ++n_suppressed;
         continue;
       }
-      msg.payload = d.value;
-      msg.nulls = d.nulls;
-      msg.denulls = d.denulls;
-      ++n_delta;
+      n_delta += ctx.sink->send(targets[i], delta_message(e.site, wire, d));
     } else {
       // Full-value send (ΔV*). Identity payloads are no-ops for the fold
       // and are suppressed — without this, e.g. SSSP's initial push would
@@ -186,10 +139,12 @@ Value eval_send_loop(const Expr& e, EvalContext& ctx) {
         ++n_suppressed;
         continue;
       }
+      DvMessage msg;
+      msg.site = static_cast<std::uint8_t>(e.site);
+      msg.wire = wire;
       msg.payload = payload;
-      ++n_full;
+      n_full += ctx.sink->send(targets[i], msg);
     }
-    ctx.sink->send(targets[i], msg);
   }
   if (ctx.obs) {
     ctx.obs->add(obs::Counter::kSendsSuppressed, n_suppressed);

@@ -11,7 +11,6 @@
 
 #include "dv/ast.h"
 #include "dv/obs/metrics.h"
-#include "dv/runtime/atomic_fold.h"
 #include "dv/runtime/message.h"
 #include "dv/streaming/retract/retract_memo.h"
 #include "dv/runtime/value.h"
@@ -19,19 +18,25 @@
 
 namespace deltav::dv {
 
-/// Where send loops deliver messages. The runner adapts this onto the
-/// Pregel engine context; tests use recording sinks.
+/// Where send loops deliver their contributions. The runner adapts this
+/// onto the Pregel engine context and decides there, per send, whether a
+/// Δ folds lock-free into a pending slot (atomic_fold.h) or travels as a
+/// message; tests use recording sinks. Both calls return how many of the
+/// contributions were buffered as messages — the tiers count exactly
+/// those as sent messages, so a folded Δ is never counted twice.
 class SendSink {
  public:
   virtual ~SendSink() = default;
-  virtual void send(graph::VertexId dst, const DvMessage& msg) = 0;
+  virtual std::uint64_t send(graph::VertexId dst, const DvMessage& msg) = 0;
   /// Sends one identical message to every destination in `dsts`, in order.
   /// Equivalent to dsts.size() send() calls (the default does exactly
   /// that); sinks on the engine hot path override it to amortize
   /// per-message bookkeeping for span-invariant broadcasts.
-  virtual void send_span(std::span<const graph::VertexId> dsts,
-                         const DvMessage& msg) {
-    for (const graph::VertexId dst : dsts) send(dst, msg);
+  virtual std::uint64_t send_span(std::span<const graph::VertexId> dsts,
+                                  const DvMessage& msg) {
+    std::uint64_t buffered = 0;
+    for (const graph::VertexId dst : dsts) buffered += send(dst, msg);
+    return buffered;
   }
 };
 
@@ -58,18 +63,11 @@ struct EvalContext {
   const std::vector<std::uint8_t>* site_wire = nullptr;  // bytes per site
   std::uint64_t suppress_sites = 0;  // bitmask: skip sends for these sites
 
-  // Lock-free fold path (atomic_fold.h). Non-null only when the runner
-  // routed at least one site atomic: send loops for routed sites fold
-  // Δ-payloads straight into the shared pending slots and mark this lane's
-  // frontier bitmap instead of constructing messages.
-  AtomicFoldTable* atomic = nullptr;
-  AtomicFoldLane* atomic_lane = nullptr;
-
   // Retraction memos (streaming/retract/retract_memo.h). Non-null only
   // when the runner routed at least one min/max site through the memo:
   // send loops for routed sites then record the sender's new total (or
   // the identity, for no-longer-contributing no-ops) into this lane's
-  // record buffer, on top of whatever fold path delivers the payload.
+  // record buffer, on top of whatever fold path the sink picks.
   // Null everywhere else — one pointer test, zero cost when off.
   RetractMemoTable* retract = nullptr;
   RetractLane* retract_lane = nullptr;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dv/runtime/delta.h"
 #include "dv/runtime/value.h"
 #include "graph/csr_graph.h"
 #include "pregel/engine.h"
@@ -31,6 +32,18 @@ struct DvMessage {
   std::uint8_t site = 0;
   std::uint8_t wire = 0;
 };
+
+/// The Δ-message that carries `d` for aggregation site `site`.
+inline DvMessage delta_message(int site, std::uint8_t wire,
+                               const DeltaPayload& d) {
+  DvMessage m;
+  m.payload = d.value;
+  m.nulls = d.nulls;
+  m.denulls = d.denulls;
+  m.site = static_cast<std::uint8_t>(site);
+  m.wire = wire;
+  return m;
+}
 
 struct DvMessageTraits {
   static std::size_t wire_size(const DvMessage& m) { return m.wire; }

@@ -27,13 +27,12 @@ constexpr std::uint64_t kInlineFrontierFloor = 256;
 constexpr std::uint64_t kInlineFrontierShare = 8;
 
 /// Adapts the engine's per-vertex send API to the interpreter's SendSink,
-/// optionally teeing every message into the debug probe. When the runner
-/// routes sites through the lock-free fold path, this sink is also the
-/// generic catcher for sends that bypass the tiers' fused fast paths
-/// (push_first priming, retractions): routed sites fold into the pending
-/// slots here instead of entering the engine. The probe and the atomic
-/// path are mutually exclusive (the runner forces buffered under a probe:
-/// a message probe has nothing to observe on a message-free path).
+/// optionally teeing every message into the debug probe. Every tier's
+/// sends meet the fold-path decision here: the bound FoldRouter folds
+/// routed sites into the pending slots, and everything else enters the
+/// engine. The probe and the atomic path are mutually exclusive (the
+/// runner forces buffered under a probe: a message probe has nothing to
+/// observe on a message-free path).
 class EngineSink : public SendSink {
  public:
   using Ctx = DvEngine::Context;
@@ -43,48 +42,26 @@ class EngineSink : public SendSink {
     ctx_ = ctx;
     probe_ = probe && *probe ? probe : nullptr;
   }
-  void bind_atomic(AtomicFoldTable* table, AtomicFoldLane* lane) {
-    atomic_ = table;
-    lane_ = lane;
-  }
-  void send(graph::VertexId dst, const DvMessage& msg) override {
-    if (atomic_) {
-      const int col = atomic_->route[msg.site];
-      if (col >= 0 && atomic_->fold(dst, col, msg.payload)) {
-        lane_->mark(dst, col);
-        ++lane_->folds;
-        return;
-      }
-    }
+  void route(FoldRouter router) { router_ = router; }
+  std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
+    if (router_.fold({&dst, 1}, msg)) return 0;
     if (probe_) (*probe_)(ctx_->vertex(), dst, msg);
     ctx_->send(dst, msg);
+    return 1;
   }
-  void send_span(std::span<const graph::VertexId> dsts,
-                 const DvMessage& msg) override {
-    if (atomic_) {
-      const int col = atomic_->route[msg.site];
-      if (col >= 0) {
-        for (const graph::VertexId dst : dsts) {
-          if (atomic_->fold(dst, col, msg.payload)) {
-            lane_->mark(dst, col);
-            ++lane_->folds;
-          } else {
-            ctx_->send(dst, msg);
-          }
-        }
-        return;
-      }
-    }
+  std::uint64_t send_span(std::span<const graph::VertexId> dsts,
+                          const DvMessage& msg) override {
+    if (router_.fold(dsts, msg)) return 0;
     if (probe_)
       for (const graph::VertexId dst : dsts) (*probe_)(ctx_->vertex(), dst, msg);
     ctx_->send_span(dsts, msg);
+    return dsts.size();
   }
 
  private:
   Ctx* ctx_ = nullptr;
   const Probe* probe_ = nullptr;
-  AtomicFoldTable* atomic_ = nullptr;
-  AtomicFoldLane* lane_ = nullptr;
+  FoldRouter router_;
 };
 
 /// Does any node of `e` contain `stable`? (Pre-analyzed by typecheck, but
@@ -340,7 +317,6 @@ class DvRunner::Impl {
       atomic_lanes_.resize(static_cast<std::size_t>(W));
       for (AtomicFoldLane& lane : atomic_lanes_)
         lane.reset(n, atomic_table_.columns());
-      if (vm_) vm_->specialize_atomic(atomic_table_.route);
     }
   }
 
@@ -412,13 +388,11 @@ class DvRunner::Impl {
     for (const graph::VertexId v : delta.touched) mark_wake(v);
 
     // ---- Phase A (old topology): per touched sender × site, record what
-    // each receiver currently holds from it — the send_retractions rule:
-    // the ε-gated last-sent slot when present, else the (possibly
-    // per-edge) send expression, which for bound sites reads the memoized
-    // sent_k field. Lists are indexed flat by (site, touched position) —
-    // Phase B walks delta.touched in the same order — and the inner
-    // vectors keep their capacity across epochs, so a warm stream of
-    // small batches makes no per-epoch heap trips here.
+    // each receiver last folded from it (last_folded). Lists are indexed
+    // flat by (site, touched position) — Phase B walks delta.touched in
+    // the same order — and the inner vectors keep their capacity across
+    // epochs, so a warm stream of small batches makes no per-epoch heap
+    // trips here.
     const std::size_t n_touched = delta.touched.size();
     epoch_olds_.resize(prog_.sites.size());
     for (auto& per_site : epoch_olds_) {
@@ -442,12 +416,7 @@ class DvRunner::Impl {
           list.reserve(targets.size());
           for (std::size_t i = 0; i < targets.size(); ++i) {
             ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[i];
-            const Value last =
-                site.last_sent_slot >= 0
-                    ? ctx.fields[static_cast<std::size_t>(
-                          site.last_sent_slot)]
-                    : eval_root(*site.send_expr, ctx).coerce(site.elem_type);
-            list.emplace_back(targets[i], last);
+            list.emplace_back(targets[i], last_folded(site, ctx));
           }
         }
       }
@@ -527,86 +496,43 @@ class DvRunner::Impl {
           const auto site_idx = static_cast<std::size_t>(site.id);
           const auto& old_list = epoch_olds_[site_idx][ti];
           const Value identity = agg_identity(site.op, site.elem_type);
+          // Memo-routed sites synthesize keyed records (new totals,
+          // identity = removal) instead of Δ-messages; the epoch drain
+          // below rewrites every dirty accumulator straight from the memo,
+          // so min/max retractions need no cold restart.
           const int rcol = retract_table_.empty()
                                ? -1
                                : retract_table_.route[site_idx];
-          if (rcol >= 0) {
-            // Memo-routed: synthesize keyed records (new totals, identity
-            // = removal) instead of Δ-messages; the epoch drain below
-            // rewrites every dirty accumulator straight from the memo, so
-            // min/max retractions need no cold restart.
-            const std::uint64_t id_bits =
-                retract_table_.identity[static_cast<std::size_t>(rcol)];
-            std::size_t oi = 0, ni = 0;
-            while (oi < old_list.size() || ni < targets.size()) {
-              const bool take_old =
-                  ni >= targets.size() ||
-                  (oi < old_list.size() && old_list[oi].first < targets[ni]);
-              if (take_old) {
-                retract_lanes_.front().record(
-                    old_list[oi].first, static_cast<std::uint32_t>(v), rcol,
-                    id_bits);
-                ++oi;
-              } else {
-                const graph::VertexId dst = targets[ni];
-                ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[ni];
-                const Value now =
-                    eval_root(original, ctx).coerce(site.elem_type);
-                retract_lanes_.front().record(
-                    dst, static_cast<std::uint32_t>(v), rcol,
-                    atomic_fold_bits(site.elem_type, now));
-                if (oi < old_list.size() && old_list[oi].first == dst) ++oi;
-                ++ni;
-              }
-            }
-            // Re-memoize what this sender's neighbors now believe, as the
-            // non-memo path does below.
-            if (site.bound_field >= 0 || site.last_sent_slot >= 0) {
-              ctx.cur_edge_weight = 1.0;
-              const Value now =
-                  eval_root(original, ctx).coerce(site.elem_type);
-              if (site.bound_field >= 0)
-                ctx.fields[static_cast<std::size_t>(site.bound_field)] = now;
-              if (site.last_sent_slot >= 0)
-                ctx.fields[static_cast<std::size_t>(site.last_sent_slot)] =
-                    now;
-            }
-            continue;
-          }
+          // Both lists are sorted by receiver: walk them together.
           std::size_t oi = 0, ni = 0;
           while (oi < old_list.size() || ni < targets.size()) {
-            DeltaPayload d;
             graph::VertexId dst;
-            const bool take_old =
-                ni >= targets.size() ||
-                (oi < old_list.size() && old_list[oi].first < targets[ni]);
-            if (take_old) {
+            const Value* old = nullptr;  // null: a new arc
+            Value now = identity;        // identity: a removed arc
+            if (ni >= targets.size() ||
+                (oi < old_list.size() && old_list[oi].first < targets[ni])) {
               dst = old_list[oi].first;
-              d = synthesize_delta(site.op, site.elem_type,
-                                   old_list[oi].second, identity);
-              ++oi;
+              old = &old_list[oi++].second;
             } else {
               dst = targets[ni];
               ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[ni];
-              const Value now =
-                  eval_root(original, ctx).coerce(site.elem_type);
-              if (oi < old_list.size() && old_list[oi].first == dst) {
-                d = synthesize_delta(site.op, site.elem_type,
-                                     old_list[oi].second, now);
-                ++oi;
-              } else {
-                d = synthesize_first(site.op, site.elem_type, now);
-              }
               ++ni;
+              now = eval_root(original, ctx).coerce(site.elem_type);
+              if (oi < old_list.size() && old_list[oi].first == dst)
+                old = &old_list[oi++].second;
             }
-            if (d.noop) continue;
-            DvMessage msg;
-            msg.site = static_cast<std::uint8_t>(site.id);
-            msg.wire = site_wire_[site_idx];
-            msg.payload = d.value;
-            msg.nulls = d.nulls;
-            msg.denulls = d.denulls;
-            apply_direct(dst, msg);
+            if (rcol >= 0) {
+              retract_lanes_.front().record(
+                  dst, static_cast<std::uint32_t>(v), rcol,
+                  atomic_fold_bits(site.elem_type, now));
+              continue;
+            }
+            const DeltaPayload d =
+                old ? synthesize_delta(site.op, site.elem_type, *old, now)
+                    : synthesize_first(site.op, site.elem_type, now);
+            if (!d.noop)
+              apply_direct(dst, delta_message(site.id, site_wire_[site_idx],
+                                              d));
           }
           // Re-memoize what this sender's neighbors now believe its value
           // is, so the woken body's Δ against it is a no-op.
@@ -1069,27 +995,13 @@ class DvRunner::Impl {
     }
   }
 
-  /// Targeted underflow repair: re-evaluate every in-neighbor's current
-  /// contribution into (dst, col) and rebuild the cell from the complete
-  /// list. Mirrors Phase A's read rule — the ε-gated last-sent slot when
-  /// present, else the send expression (for bound sites the memoized
-  /// sent_k ref), i.e. exactly what the receiver last folded.
+  /// Targeted underflow repair: re-evaluate what every in-neighbor last
+  /// contributed into (dst, col) (last_folded) and rebuild the cell from
+  /// the complete list.
   void refold_cell(graph::VertexId dst, int col) {
     const AggSite& site = prog_.sites[static_cast<std::size_t>(
         retract_table_.site_of[static_cast<std::size_t>(col)])];
-    std::span<const graph::VertexId> srcs;
-    std::span<const double> weights;
-    switch (push_direction(site.pull_dir)) {
-      case GraphDir::kOut:
-      case GraphDir::kNeighbors:
-        srcs = g_.in_neighbors(dst);
-        weights = g_.in_weights(dst);
-        break;
-      case GraphDir::kIn:
-        srcs = g_.out_neighbors(dst);
-        weights = g_.out_weights(dst);
-        break;
-    }
+    const auto [srcs, weights] = push_targets(site, dst, /*reverse=*/true);
     EvalContext ctx = make_ctx(0);
     ctx.has_vertex = true;
     refold_scratch_.clear();
@@ -1101,16 +1013,22 @@ class DvRunner::Impl {
       std::copy(scratch_defaults_.begin(), scratch_defaults_.end(),
                 ctx.scratch.begin());
       ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[i];
-      const Value last =
-          site.last_sent_slot >= 0
-              ? ctx.fields[static_cast<std::size_t>(site.last_sent_slot)]
-              : eval_root(*site.send_expr, ctx).coerce(site.elem_type);
       refold_scratch_.push_back(
           {static_cast<std::uint32_t>(u),
-           atomic_fold_bits(site.elem_type, last)});
+           atomic_fold_bits(site.elem_type, last_folded(site, ctx))});
     }
     retract_table_.rebuild(dst, col, refold_scratch_.data(),
                            refold_scratch_.size());
+  }
+
+  /// What a receiver last folded from the sender in `ctx`, over the arc
+  /// whose weight is ctx.cur_edge_weight: the ε-gated last-sent slot when
+  /// the site has one, else the (possibly per-edge) send expression,
+  /// which for bound sites reads the memoized sent_k field.
+  Value last_folded(const AggSite& site, EvalContext& ctx) {
+    if (site.last_sent_slot >= 0)
+      return ctx.fields[static_cast<std::size_t>(site.last_sent_slot)];
+    return eval_root(*site.send_expr, ctx).coerce(site.elem_type);
   }
 
   /// Adds `v` to the epoch wake frontier exactly once (bitmap dedup).
@@ -1122,20 +1040,14 @@ class DvRunner::Impl {
 
   /// Applies a synthesized Δ-message synchronously into the receiver's
   /// accumulator slots (Eq. 8/9) — the epoch-start equivalent of the
-  /// fold's per-message apply_delta — and marks it for wake-up.
+  /// fold's per-message apply_delta — and marks it for wake-up. Routed
+  /// sites park in the pending slots the superstep path uses (one code
+  /// path, one semantics); the epoch's drain_atomic(false) applies them
+  /// after Phase B.
   void apply_direct(graph::VertexId dst, const DvMessage& m) {
-    // Routed sites take the same pending slots the superstep path uses
-    // (single-threaded here, but one code path, one semantics); the
-    // epoch's drain_atomic(false) applies them after Phase B.
-    const int col =
-        atomic_table_.empty() ? -1 : atomic_table_.route[m.site];
-    if (col >= 0 && atomic_table_.fold(dst, col, m.payload)) {
-      atomic_lanes_.front().mark(dst, col);
-      ++atomic_lanes_.front().folds;
-      ++deltas_applied_;
-      mark_wake(dst);
-      return;
-    }
+    ++deltas_applied_;
+    mark_wake(dst);
+    if (router(0).fold({&dst, 1}, m)) return;
     const AggSite& site = prog_.sites[m.site];
     const auto fields = fields_of(dst);
     AccumRef ref;
@@ -1145,36 +1057,41 @@ class DvRunner::Impl {
       ref.nulls = &fields[static_cast<std::size_t>(site.nulls_slot)];
     }
     apply_delta(site.op, site.elem_type, ref, m.payload, m.nulls, m.denulls);
-    ++deltas_applied_;
-    mark_wake(dst);
   }
 
   /// SendSink that short-circuits the engine: messages land in receiver
-  /// state immediately. Used for epoch-start synthesis only (push_first
-  /// of added vertices routes through it).
+  /// state immediately, so none is buffered. Used for epoch-start
+  /// synthesis only (push_first of added vertices routes through it).
   class ApplySink : public SendSink {
    public:
     explicit ApplySink(Impl* runner) : runner_(runner) {}
-    void send(graph::VertexId dst, const DvMessage& msg) override {
+    std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
       runner_->apply_direct(dst, msg);
+      return 0;
     }
 
    private:
     Impl* runner_;
   };
 
-  /// The stored-arc span a site's push sends traverse from `v`.
-  std::pair<std::span<const graph::VertexId>, std::span<const double>>
-  push_targets(const AggSite& site, graph::VertexId v) const {
-    switch (push_direction(site.pull_dir)) {
-      case GraphDir::kOut:
-      case GraphDir::kNeighbors:
-        return {g_.out_neighbors(v), g_.out_weights(v)};
-      case GraphDir::kIn:
-        return {g_.in_neighbors(v), g_.in_weights(v)};
-    }
-    return {};
+  /// The fold-path router for worker lane `w`; routes nothing when every
+  /// site is buffered.
+  FoldRouter router(std::size_t w) {
+    if (atomic_table_.empty()) return {};
+    return {&atomic_table_, &atomic_lanes_[w]};
   }
+
+  /// The stored-arc span a site's push sends traverse from `v`; with
+  /// `reverse`, the arcs whose pushes land on `v` (its senders).
+  std::pair<std::span<const graph::VertexId>, std::span<const double>>
+  push_targets(const AggSite& site, graph::VertexId v,
+               bool reverse = false) const {
+    const bool in =
+        (push_direction(site.pull_dir) == GraphDir::kIn) != reverse;
+    if (in) return {g_.in_neighbors(v), g_.in_weights(v)};
+    return {g_.out_neighbors(v), g_.out_weights(v)};
+  }
+
   /// Evaluates a runner-visible root expression on the selected tier.
   Value eval_root(const Expr& e, EvalContext& ctx) {
     if (native_) return native_->eval_root(e, ctx);
@@ -1230,37 +1147,15 @@ class DvRunner::Impl {
       if (site.is_channel()) continue;  // validate() bans deletions with
       // remote reads; belt-and-braces against a null send_expr deref
       if (site.stmt_index != static_cast<int>(si)) continue;
-      std::span<const graph::VertexId> targets;
-      std::span<const double> weights;
-      switch (push_direction(site.pull_dir)) {
-        case GraphDir::kOut:
-        case GraphDir::kNeighbors:
-          targets = g_.out_neighbors(v);
-          weights = g_.out_weights(v);
-          break;
-        case GraphDir::kIn:
-          targets = g_.in_neighbors(v);
-          weights = g_.in_weights(v);
-          break;
-      }
+      const auto [targets, weights] = push_targets(site, v);
       const Value identity = agg_identity(site.op, site.elem_type);
       const auto wire = site_wire_[static_cast<std::size_t>(site.id)];
       for (std::size_t i = 0; i < targets.size(); ++i) {
         ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[i];
-        const Value last =
-            site.last_sent_slot >= 0
-                ? ctx.fields[static_cast<std::size_t>(site.last_sent_slot)]
-                : eval_root(*site.send_expr, ctx).coerce(site.elem_type);
-        const DeltaPayload d =
-            synthesize_delta(site.op, site.elem_type, last, identity);
-        if (d.noop) continue;
-        DvMessage msg;
-        msg.site = static_cast<std::uint8_t>(site.id);
-        msg.wire = wire;
-        msg.payload = d.value;
-        msg.nulls = d.nulls;
-        msg.denulls = d.denulls;
-        ctx.sink->send(targets[i], msg);
+        const DeltaPayload d = synthesize_delta(
+            site.op, site.elem_type, last_folded(site, ctx), identity);
+        if (!d.noop)
+          ctx.sink->send(targets[i], delta_message(site.id, wire, d));
       }
     }
   }
@@ -1346,9 +1241,6 @@ class DvRunner::Impl {
     return {state_.data() + static_cast<std::size_t>(v) * stride_, stride_};
   }
 
-  /// Pushes the initial full values for all sites of statement `si` from
-  /// vertex `v` (the §6.1 "first superstep" sends), storing bound-field
-  /// values so later Δ computations see what was actually sent.
   /// True if evaluating `e` can read ctx.cur_edge_weight — the only way a
   /// send payload can vary across the target span (expressions are pure).
   static bool uses_edge_weight(const Expr& e) {
@@ -1358,24 +1250,15 @@ class DvRunner::Impl {
     return false;
   }
 
+  /// Pushes the initial full values for all sites of statement `si` from
+  /// vertex `v` (the §6.1 "first superstep" sends), storing bound-field
+  /// values so later Δ computations see what was actually sent.
   void push_first(EvalContext& ctx, graph::VertexId v, std::size_t si) {
     for (const AggSite& site : prog_.sites) {
       if (site.is_channel()) continue;  // channels have no initial push:
       // requests are re-issued from scratch every iteration
       if (site.stmt_index != static_cast<int>(si)) continue;
-      std::span<const graph::VertexId> targets;
-      std::span<const double> weights;
-      switch (push_direction(site.pull_dir)) {
-        case GraphDir::kOut:
-        case GraphDir::kNeighbors:
-          targets = g_.out_neighbors(v);
-          weights = g_.out_weights(v);
-          break;
-        case GraphDir::kIn:
-          targets = g_.in_neighbors(v);
-          weights = g_.in_weights(v);
-          break;
-      }
+      const auto [targets, weights] = push_targets(site, v);
       const Expr& expr =
           site.init_send_expr ? *site.init_send_expr : *site.send_expr;
       const int send_chunk =
@@ -1388,6 +1271,16 @@ class DvRunner::Impl {
                                : eval_root(expr, c);
       };
       const auto wire = site_wire_[static_cast<std::size_t>(site.id)];
+      // The first send of `v0`: a first Δ for ΔV, the full value for ΔV*
+      // (whose identity payloads are fold no-ops).
+      const auto first = [&](const Value& v0) {
+        if (cp_.options.incrementalize)
+          return synthesize_first(site.op, site.elem_type, v0);
+        DeltaPayload d;
+        d.value = v0;
+        d.noop = is_identity(site.op, v0);
+        return d;
+      };
       // Memo-routed sites record each initial contribution so the memo's
       // buffers are populated from the very first push (no-op identity
       // payloads stay unrecorded — absence already means identity).
@@ -1410,23 +1303,9 @@ class DvRunner::Impl {
           bound = v0;
           bound_set = true;
         }
-        DvMessage msg;
-        msg.site = static_cast<std::uint8_t>(site.id);
-        msg.wire = wire;
-        bool noop;
-        if (cp_.options.incrementalize) {
-          const DeltaPayload d =
-              synthesize_first(site.op, site.elem_type, v0);
-          noop = d.noop;
-          msg.payload = d.value;
-          msg.nulls = d.nulls;
-          msg.denulls = d.denulls;
-        } else {
-          noop = is_identity(site.op, v0);
-          msg.payload = v0;
-        }
-        if (!noop) {
-          ctx.sink->send_span(targets, msg);
+        const DeltaPayload d = first(v0);
+        if (!d.noop) {
+          ctx.sink->send_span(targets, delta_message(site.id, wire, d));
           if (rcol >= 0) {
             const std::uint64_t bits = atomic_fold_bits(site.elem_type, v0);
             for (const graph::VertexId dst : targets)
@@ -1442,21 +1321,9 @@ class DvRunner::Impl {
             bound = v0;
             bound_set = true;
           }
-          DvMessage msg;
-          msg.site = static_cast<std::uint8_t>(site.id);
-          msg.wire = wire;
-          if (cp_.options.incrementalize) {
-            const DeltaPayload d =
-                synthesize_first(site.op, site.elem_type, v0);
-            if (d.noop) continue;
-            msg.payload = d.value;
-            msg.nulls = d.nulls;
-            msg.denulls = d.denulls;
-          } else {
-            if (is_identity(site.op, v0)) continue;
-            msg.payload = v0;
-          }
-          ctx.sink->send(targets[i], msg);
+          const DeltaPayload d = first(v0);
+          if (d.noop) continue;
+          ctx.sink->send(targets[i], delta_message(site.id, wire, d));
           if (rcol >= 0)
             ctx.retract_lane->record(targets[i],
                                      static_cast<std::uint32_t>(v), rcol,
@@ -1506,17 +1373,35 @@ class DvRunner::Impl {
   }
 
   /// One superstep of per-vertex priming work (init block, push_first)
-  /// with the same per-worker context hoisting as run_statement's hot
-  /// loop: lanes are cache-line aligned and built once, the per-vertex
-  /// cost is only the vertex-varying views.
+  /// on the same per-worker lanes as run_statement's hot loop.
   template <typename PerVertex>
   void run_priming_step(PerVertex&& per_vertex) {
-    struct alignas(64) WorkerLane {
-      EngineSink sink;
-      EvalContext ctx;
-    };
+    std::vector<WorkerLane> lanes = make_lanes();
+    engine_->step([&](DvEngine::Context& ectx, graph::VertexId v,
+                      std::span<const DvMessage>) {
+      per_vertex(enter(lanes, ectx, v, {}), v);
+    });
+    ++supersteps_;
+    drain_atomic(/*activate=*/true);
+    drain_retract(/*activate=*/true);
+  }
+
+  /// Per-worker evaluation state. Cache-line aligned: the context's
+  /// per-vertex fields are rewritten millions of times from distinct
+  /// threads, and packing them back-to-back would false-share across
+  /// workers.
+  struct alignas(64) WorkerLane {
+    EngineSink sink;
+    EvalContext ctx;
+  };
+
+  /// One lane per engine worker, built once per superstep loop: the
+  /// context is bound to the worker's scratch, metrics shard, fold-router
+  /// lane and retraction-memo lane, so the per-vertex work (enter) is only
+  /// the vertex-varying views.
+  std::vector<WorkerLane> make_lanes() {
     const std::size_t W = worker_scratch_.size();
-    obs::Collector* const col = obs::resolve(options_.collector);
+    obs::Collector* const col = obs::resolve_for(options_.collector, W);
     std::vector<WorkerLane> lanes(W);
     for (std::size_t w = 0; w < W; ++w) {
       EvalContext& c = lanes[w].ctx;
@@ -1524,32 +1409,30 @@ class DvRunner::Impl {
       c.sink = &lanes[w].sink;
       c.has_vertex = true;
       c.obs = col ? &col->metrics.shard(w) : nullptr;
-      if (!atomic_table_.empty()) {
-        c.atomic = &atomic_table_;
-        c.atomic_lane = &atomic_lanes_[w];
-        lanes[w].sink.bind_atomic(&atomic_table_, &atomic_lanes_[w]);
-      }
+      lanes[w].sink.route(router(w));
       if (!retract_table_.empty()) {
         c.retract = &retract_table_;
         c.retract_lane = &retract_lanes_[w];
       }
     }
-    engine_->step([&](DvEngine::Context& ectx, graph::VertexId v,
-                      std::span<const DvMessage>) {
-      const std::size_t w = static_cast<std::size_t>(ectx.worker());
-      lanes[w].sink.bind(&ectx, &options_.send_probe);
-      EvalContext& ctx = lanes[w].ctx;
-      ctx.vertex = v;
-      ctx.fields = fields_of(v);
-      ctx.halt_requested = false;
-      ctx.any_field_assign = false;
-      std::copy(scratch_defaults_.begin(), scratch_defaults_.end(),
-                ctx.scratch.begin());
-      per_vertex(ctx, v);
-    });
-    ++supersteps_;
-    drain_atomic(/*activate=*/true);
-    drain_retract(/*activate=*/true);
+    return lanes;
+  }
+
+  /// Points the computing worker's lane at vertex `v` and resets its
+  /// per-vertex out-flags and scratch.
+  EvalContext& enter(std::vector<WorkerLane>& lanes, DvEngine::Context& ectx,
+                     graph::VertexId v, std::span<const DvMessage> msgs) {
+    WorkerLane& lane = lanes[static_cast<std::size_t>(ectx.worker())];
+    lane.sink.bind(&ectx, &options_.send_probe);
+    EvalContext& ctx = lane.ctx;
+    ctx.vertex = v;
+    ctx.fields = fields_of(v);
+    ctx.msgs = msgs;
+    ctx.halt_requested = false;
+    ctx.any_field_assign = false;
+    std::copy(scratch_defaults_.begin(), scratch_defaults_.end(),
+              ctx.scratch.begin());
+    return ctx;
   }
 
   /// Evaluates the until clause globally (no vertex context).
@@ -1595,12 +1478,11 @@ class DvRunner::Impl {
 
   /// True when every aggregation site in the `sites` mask folds through
   /// the atomic table, bypassing the message pipeline.
-  bool atomic_routed(std::uint64_t sites) const {
-    if (atomic_table_.empty()) return false;
+  bool all_fold_atomically(std::uint64_t sites) {
+    const FoldRouter r = router(0);
+    if (r.table == nullptr) return false;
     for (const AggSite& site : prog_.sites)
-      if ((sites >> site.id & 1) &&
-          atomic_table_.route[static_cast<std::size_t>(site.id)] < 0)
-        return false;
+      if ((sites >> site.id & 1) && !r.routes(site.id)) return false;
     return true;
   }
 
@@ -1622,7 +1504,7 @@ class DvRunner::Impl {
     // Correctness never rests on this: an inline round still exchanges
     // any fallback message.
     const bool exchange_free =
-        is_iter && !msgless_stmt && atomic_routed(own_sites);
+        is_iter && !msgless_stmt && all_fold_atomically(own_sites);
     const std::uint64_t inline_cap = std::max<std::uint64_t>(
         kInlineFrontierFloor, g_.num_vertices() / kInlineFrontierShare);
 
@@ -1643,45 +1525,22 @@ class DvRunner::Impl {
     const int body_root = native_ ? native_->root_of(*stmt.body) : -1;
     DV_CHECK_MSG(!native_ || body_root >= 0,
                  "statement body was not emitted as a native root");
-    const std::size_t W = worker_scratch_.size();
-    // Cache-line aligned per-worker lanes: the context's per-vertex
-    // fields are rewritten millions of times from distinct threads, and
-    // packing them back-to-back would false-share across workers.
-    struct alignas(64) WorkerLane {
-      EngineSink sink;
-      EvalContext ctx;
-    };
-    obs::Collector* const col = obs::resolve(options_.collector);
     // Reference interpretation: kRemoteRead reads the *iteration-start*
     // field matrix, so the loop below snapshots state_ before every body
     // superstep and every lane reads through the same buffer.
     std::vector<Value> ref_snapshot;
     if (ref_remote) ref_snapshot.resize(state_.size());
-    std::vector<WorkerLane> lanes(W);
-    for (std::size_t w = 0; w < W; ++w) {
-      EvalContext& c = lanes[w].ctx;
-      c = make_ctx(static_cast<int>(w));
-      c.sink = &lanes[w].sink;
-      c.has_vertex = true;
-      c.obs = col ? &col->metrics.shard(w) : nullptr;
-      if (ref_remote) {
-        c.prev_state = ref_snapshot.data();
-        c.prev_stride = stride_;
-      }
-      if (!atomic_table_.empty()) {
-        c.atomic = &atomic_table_;
-        c.atomic_lane = &atomic_lanes_[w];
-        lanes[w].sink.bind_atomic(&atomic_table_, &atomic_lanes_[w]);
-      }
-      if (!retract_table_.empty()) {
-        c.retract = &retract_table_;
-        c.retract_lane = &retract_lanes_[w];
+    std::vector<WorkerLane> lanes = make_lanes();
+    if (ref_remote) {
+      for (WorkerLane& lane : lanes) {
+        lane.ctx.prev_state = ref_snapshot.data();
+        lane.ctx.prev_stride = stride_;
       }
     }
     const auto set_iteration = [&](std::size_t it, std::uint64_t suppress) {
-      for (std::size_t w = 0; w < W; ++w) {
-        lanes[w].ctx.iter = static_cast<std::int64_t>(it);
-        lanes[w].ctx.suppress_sites = suppress;
+      for (WorkerLane& lane : lanes) {
+        lane.ctx.iter = static_cast<std::int64_t>(it);
+        lane.ctx.suppress_sites = suppress;
       }
     };
     // Non-null during a request/reply superstep of a remote statement: the
@@ -1691,16 +1550,7 @@ class DvRunner::Impl {
     const Expr* phase_expr = nullptr;
     const auto compute = [&](DvEngine::Context& ectx, graph::VertexId v,
                              std::span<const DvMessage> msgs) {
-      const std::size_t w = static_cast<std::size_t>(ectx.worker());
-      lanes[w].sink.bind(&ectx, &options_.send_probe);
-      EvalContext& ctx = lanes[w].ctx;
-      ctx.vertex = v;
-      ctx.fields = fields_of(v);
-      ctx.msgs = msgs;
-      ctx.halt_requested = false;
-      ctx.any_field_assign = false;
-      std::copy(scratch_defaults_.begin(), scratch_defaults_.end(),
-                ctx.scratch.begin());
+      EvalContext& ctx = enter(lanes, ectx, v, msgs);
       if (phase_expr != nullptr) {
         eval(*phase_expr, ctx);
         return;
@@ -1943,7 +1793,6 @@ const char* fold_path_name(FoldPath p) {
   switch (p) {
     case FoldPath::kAuto: return "auto";
     case FoldPath::kBuffered: return "buffered";
-    case FoldPath::kAtomic: return "atomic";
   }
   DV_FAIL("unknown fold path");
 }
@@ -1951,9 +1800,7 @@ const char* fold_path_name(FoldPath p) {
 FoldPath parse_fold_path(const std::string& name) {
   if (name == "auto") return FoldPath::kAuto;
   if (name == "buffered") return FoldPath::kBuffered;
-  if (name == "atomic") return FoldPath::kAtomic;
-  DV_FAIL("unknown fold path '" << name
-                                << "' (expected auto|buffered|atomic)");
+  DV_FAIL("unknown fold path '" << name << "' (expected auto|buffered)");
 }
 
 int DvRunResult::field_slot(const std::string& name) const {

@@ -77,8 +77,7 @@ const char* exec_tier_name(ExecTier tier);
 ExecTier parse_exec_tier(const std::string& name);
 
 const char* fold_path_name(FoldPath p);
-/// Parses "auto"/"buffered"/"atomic" (CLI flags); throws CheckError
-/// otherwise.
+/// Parses "auto"/"buffered" (CLI flags); throws CheckError otherwise.
 FoldPath parse_fold_path(const std::string& name);
 
 struct DvRunOptions {
@@ -103,11 +102,11 @@ struct DvRunOptions {
 
   /// Fold-path selection (DESIGN.md "Fold paths"): kAuto routes every
   /// site the incrementalize pass proved commutative-associative through
-  /// the lock-free pending-slot path; kBuffered forces the message path
-  /// everywhere (the differential oracle); kAtomic requests the fast path
-  /// explicitly (same routing as kAuto — ineligible sites still buffer).
-  /// A send_probe forces buffered regardless: a message probe has nothing
-  /// to observe on a message-free path.
+  /// the lock-free pending-slot path (ineligible sites, and NaN payloads,
+  /// still buffer); kBuffered forces the message path everywhere (the
+  /// differential oracle). The runner's send sink applies the routing for
+  /// every tier. A send_probe forces buffered regardless: a message probe
+  /// has nothing to observe on a message-free path.
   FoldPath fold_path = FoldPath::kAuto;
   /// Retraction-memo capacity (DESIGN.md §11): with k > 0, every memo-
   /// eligible min/max site keeps the k best tagged contributions per

@@ -41,7 +41,7 @@ namespace {
   X(kHalt) X(kReturnVal) X(kReturnUnit)                                      \
   X(kFoldFull) X(kFoldDelta) X(kSendDelta) X(kSendFull)                      \
   X(kDivGraphSizeF) X(kDivDegOutF) X(kCopyFieldScratchF) X(kMulAddF)       \
-  X(kObsCount) X(kSendDeltaAtomic)
+  X(kObsCount)
 
 #define X(n) ord_##n,
 enum : int { DV_VM_OPS(X) };
@@ -72,15 +72,6 @@ inline Value slot_value(Type t, VmSlot s) {
 }  // namespace
 
 Vm::Vm(const CompiledProgram& cp) : vp_(lower_program(cp)) {}
-
-void Vm::specialize_atomic(const std::vector<int>& route) {
-  for (Chunk& ch : vp_.chunks)
-    for (Instr& ins : ch.code)
-      if (ins.op == Op::kSendDelta &&
-          static_cast<std::size_t>(ins.imm) < route.size() &&
-          route[static_cast<std::size_t>(ins.imm)] >= 0)
-        ins.op = Op::kSendDeltaAtomic;
-}
 
 Value Vm::eval_root(const Expr& root, EvalContext& ctx) const {
   const int id = vp_.chunk_of(root);
@@ -429,14 +420,9 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
                   dst, static_cast<std::uint32_t>(ctx.vertex), rcol, bits);
           }
           if (!d.noop) {
-            DvMessage msg;
-            msg.site = static_cast<std::uint8_t>(I->imm);
-            msg.wire = wire;
-            msg.payload = d.value;
-            msg.nulls = d.nulls;
-            msg.denulls = d.denulls;
-            ctx.sink->send_span(targets, msg);
-            DV_OBS_COUNT(shard, kDeltaMessages, targets.size());
+            const std::uint64_t sent = ctx.sink->send_span(
+                targets, delta_message(I->imm, wire, d));
+            DV_OBS_COUNT(shard, kDeltaMessages, sent);
           } else {
             DV_OBS_COUNT(shard, kSendsSuppressed, targets.size());
           }
@@ -457,14 +443,8 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
             ++n_suppressed;
             continue;
           }
-          DvMessage msg;
-          msg.site = static_cast<std::uint8_t>(I->imm);
-          msg.wire = wire;
-          msg.payload = d.value;
-          msg.nulls = d.nulls;
-          msg.denulls = d.denulls;
-          ctx.sink->send(targets[t], msg);
-          ++n_delta;
+          n_delta +=
+              ctx.sink->send(targets[t], delta_message(I->imm, wire, d));
         }
         if (shard) {
           shard->add(obs::Counter::kSendsSuppressed, n_suppressed);
@@ -513,8 +493,8 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
             msg.site = static_cast<std::uint8_t>(I->imm);
             msg.wire = wire;
             msg.payload = payload;
-            ctx.sink->send_span(targets, msg);
-            DV_OBS_COUNT(shard, kFullMessages, targets.size());
+            const std::uint64_t sent = ctx.sink->send_span(targets, msg);
+            DV_OBS_COUNT(shard, kFullMessages, sent);
           } else {
             DV_OBS_COUNT(shard, kSendsSuppressed, targets.size());
           }
@@ -532,8 +512,7 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
           msg.site = static_cast<std::uint8_t>(I->imm);
           msg.wire = wire;
           msg.payload = payload;
-          ctx.sink->send(targets[t], msg);
-          ++n_full;
+          n_full += ctx.sink->send(targets[t], msg);
         }
         if (shard) {
           shard->add(obs::Counter::kSendsSuppressed, n_suppressed);
@@ -581,102 +560,6 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
                  dir == GraphDir::kIn
                      ? ctx.graph->in_neighbors(ctx.vertex).size()
                      : ctx.graph->out_neighbors(ctx.vertex).size());
-    }
-  } NEXT();
-
-  CASE(kSendDeltaAtomic) {
-    // kSendDelta for a site routed through the lock-free fold path: the
-    // Δ folds into the receiver's pending slot (fetch-add / CAS, see
-    // atomic_fold.h) and marks this lane's frontier bitmap — no message
-    // is constructed. Same synthesize_delta, same no-op suppression.
-    DV_OBS_COUNT(shard, kVmFusedOps, 1);
-    if (ctx.suppress_sites & (1ULL << I->imm)) {
-      if (shard) {
-        const auto dir = static_cast<GraphDir>(I->a);
-        shard->add(obs::Counter::kLastStepSendsSuppressed,
-                   dir == GraphDir::kIn
-                       ? ctx.graph->in_neighbors(ctx.vertex).size()
-                       : ctx.graph->out_neighbors(ctx.vertex).size());
-      }
-    } else {
-      DV_CHECK_MSG(ctx.has_vertex && ctx.atomic && ctx.atomic_lane,
-                   "atomic send loop outside superstep");
-      const AggSite& site =
-          ctx.prog->sites[static_cast<std::size_t>(I->imm)];
-      const int acol = ctx.atomic->route[static_cast<std::size_t>(I->imm)];
-      const graph::GraphView& g = *ctx.graph;
-      std::span<const graph::VertexId> targets;
-      std::span<const double> weights;
-      if (static_cast<GraphDir>(I->a) == GraphDir::kIn) {
-        targets = g.in_neighbors(ctx.vertex);
-        weights = g.in_weights(ctx.vertex);
-      } else {
-        targets = g.out_neighbors(ctx.vertex);
-        weights = g.out_weights(ctx.vertex);
-      }
-      AtomicFoldTable& table = *ctx.atomic;
-      AtomicFoldLane& lane = *ctx.atomic_lane;
-      const int rcol = ctx.retract
-                           ? ctx.retract->route[static_cast<std::size_t>(
-                                 I->imm)]
-                           : -1;
-      const auto fold_one = [&](graph::VertexId dst, const DeltaPayload& d) {
-        if (table.fold(dst, acol, d.value)) {
-          lane.mark(dst, acol);
-          ++lane.folds;
-        } else {
-          // NaN payload falls back to one buffered message (atomic_fold.h).
-          DvMessage msg;
-          msg.site = static_cast<std::uint8_t>(I->imm);
-          msg.wire = (*ctx.site_wire)[static_cast<std::size_t>(I->imm)];
-          msg.payload = d.value;
-          ctx.sink->send(dst, msg);
-        }
-      };
-      if (send_operand_src(I->b) != SendSrc::kChunk &&
-          send_operand_src(I->c) != SendSrc::kChunk) {
-        // Span-invariant operands: one Δ for the whole neighbor span
-        // (see kSendDelta).
-        if (!targets.empty()) {
-          ctx.cur_edge_weight =
-              weights.empty() ? 1.0 : weights[targets.size() - 1];
-          const Value new_v = send_operand(I->b, site.elem_type, ctx);
-          const Value old_v = send_operand(I->c, site.elem_type, ctx);
-          const DeltaPayload d =
-              synthesize_delta(site.op, site.elem_type, old_v, new_v);
-          if (rcol >= 0) {
-            const std::uint64_t bits =
-                atomic_fold_bits(site.elem_type, new_v);
-            for (const graph::VertexId dst : targets)
-              ctx.retract_lane->record(
-                  dst, static_cast<std::uint32_t>(ctx.vertex), rcol, bits);
-          }
-          if (!d.noop) {
-            for (const graph::VertexId dst : targets) fold_one(dst, d);
-          } else {
-            DV_OBS_COUNT(shard, kSendsSuppressed, targets.size());
-          }
-        }
-      } else {
-        std::uint64_t n_suppressed = 0;
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-          ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[t];
-          const Value new_v = send_operand(I->b, site.elem_type, ctx);
-          const Value old_v = send_operand(I->c, site.elem_type, ctx);
-          const DeltaPayload d =
-              synthesize_delta(site.op, site.elem_type, old_v, new_v);
-          if (rcol >= 0)
-            ctx.retract_lane->record(
-                targets[t], static_cast<std::uint32_t>(ctx.vertex), rcol,
-                atomic_fold_bits(site.elem_type, new_v));
-          if (d.noop) {
-            ++n_suppressed;
-            continue;
-          }
-          fold_one(targets[t], d);
-        }
-        DV_OBS_COUNT(shard, kSendsSuppressed, n_suppressed);
-      }
     }
   } NEXT();
 

@@ -28,13 +28,6 @@ class Vm {
   /// chunks return a zero int, like the interpreter's unit()).
   Value run_chunk(int chunk_id, EvalContext& ctx) const;
 
-  /// Rewrites every kSendDelta whose site is routed through the lock-free
-  /// fold path (`route[site] >= 0`, see atomic_fold.h) into
-  /// kSendDeltaAtomic. Called once by the owning runner right after
-  /// construction, before any worker thread touches the program — the Vm
-  /// is immutable again afterwards.
-  void specialize_atomic(const std::vector<int>& route);
-
   const VmProgram& program() const { return vp_; }
 
  private:

@@ -476,7 +476,7 @@ std::optional<DiffFailure> check_case(const FuzzCase& fc,
         if (tier == ExecTier::kNative && !native_axis) continue;
         DvRunOptions aro = base_run_options(fc, opts, workers);
         aro.tier = tier;
-        aro.fold_path = FoldPath::kAtomic;
+        aro.fold_path = FoldPath::kAuto;
         DvRunResult atomic;
         try {
           atomic = run_program(dv_cp, g, aro);
@@ -524,7 +524,7 @@ std::optional<DiffFailure> check_case(const FuzzCase& fc,
       // design, so only ε-closeness is required (and superstep counts may
       // legitimately drift where a change check sees a tiny residue).
       DvRunOptions fro = base_run_options(fc, opts, workers);
-      fro.fold_path = FoldPath::kAtomic;
+      fro.fold_path = FoldPath::kAuto;
       fro.atomic_float = true;
       DvRunResult afloat;
       try {

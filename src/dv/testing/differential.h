@@ -49,7 +49,7 @@ struct DiffOptions {
   /// native::native_unavailable_reason() is empty (no host compiler →
   /// the axis is skipped, and callers should say so).
   bool check_native = true;
-  /// Fold-path axis: re-run ΔV with fold_path = kAtomic on both tiers and
+  /// Fold-path axis: re-run ΔV with fold_path = kAuto on every tier and
   /// require the lock-free pending-slot path to reproduce the buffered
   /// run exactly — same state (bit-exact for ints/bools; floats compare
   /// exactly up to ±0.0, since CAS-min tie order can flip a zero's sign)

@@ -562,7 +562,7 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
       buffered = streaming::make_stream_session(cp, base, bo);
       buffered->converge();
       auto fo = opts_for(ExecTier::kVm);
-      fo.run.fold_path = FoldPath::kAtomic;
+      fo.run.fold_path = FoldPath::kAuto;
       fo.run.atomic_float = true;
       afloat = streaming::make_stream_session(cp, base, fo);
       afloat->converge();

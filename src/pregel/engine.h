@@ -89,7 +89,9 @@ struct EngineOptions {
   net::ClusterConfig cluster;
   /// Observability sink. nullptr falls back to the globally installed
   /// collector (obs::current()); when that is also null the engine pays
-  /// nothing beyond one pointer test per superstep.
+  /// nothing beyond one pointer test per superstep. Either one needs at
+  /// least num_workers lanes (one per worker); step() refuses a narrower
+  /// one with a CheckError.
   obs::Collector* collector = nullptr;
 };
 
@@ -212,7 +214,8 @@ class Engine {
   template <typename ComputeFn>
   void step(ComputeFn&& fn, bool inline_round = false) {
     SuperstepStats ss;
-    obs::Collector* const col = obs::resolve(options_.collector);
+    obs::Collector* const col = obs::resolve_for(
+        options_.collector, static_cast<std::size_t>(options_.num_workers));
     const std::uint64_t span_start = col ? col->trace.now_us() : 0;
     Timer phase_timer;
 

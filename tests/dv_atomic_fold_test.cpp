@@ -23,11 +23,13 @@
 #include <vector>
 
 #include "algorithms/connected_components.h"
+#include "dv/codegen/native_module.h"
 #include "dv/obs/obs.h"
 #include "dv/programs/programs.h"
 #include "dv/streaming/stream_session.h"
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "test_util.h"
 
 namespace deltav {
@@ -84,7 +86,7 @@ std::pair<dv::DvRunResult, std::uint64_t> run_contended(
     dv::ExecTier tier = dv::ExecTier::kVm) {
   const std::uint64_t inline_before =
       counter(col, "pregel.inline_supersteps");
-  auto r = run_fold(cp, g, FoldPath::kAtomic, std::move(params), 8, tier,
+  auto r = run_fold(cp, g, FoldPath::kAuto, std::move(params), 8, tier,
                     &col);
   const std::uint64_t inlined =
       counter(col, "pregel.inline_supersteps") - inline_before;
@@ -234,7 +236,7 @@ TEST(AtomicFold, ObserversDoNotChangeTheDrive) {
   const auto cp = compile_dv(dv::programs::kConnectedComponents);
   dv::DvRunOptions o;
   o.engine = small_engine(4);
-  o.fold_path = FoldPath::kAtomic;
+  o.fold_path = FoldPath::kAuto;
   const auto bare = dv::run_program(cp, g, o);
 
   obs::Collector col(5);
@@ -283,7 +285,7 @@ TEST(AtomicFold, FrontierBitmapWakesExactlyTheExchangeScanSet) {
   const auto cp = compile_dv(dv::programs::kConnectedComponents);
 
   const auto buffered = run_fold(cp, g, FoldPath::kBuffered);
-  const auto atomic = run_fold(cp, g, FoldPath::kAtomic);
+  const auto atomic = run_fold(cp, g, FoldPath::kAuto);
 
   ASSERT_EQ(atomic.supersteps, buffered.supersteps);
   ASSERT_EQ(atomic.stats.supersteps.size(), buffered.stats.supersteps.size());
@@ -312,8 +314,8 @@ TEST(AtomicFold, FloatSumRequiresOptIn) {
   o.params = params;
 
   // Default: float + is not bit-exact under concurrent re-association,
-  // so PageRank's site stays buffered even with fold_path = kAtomic.
-  o.fold_path = FoldPath::kAtomic;
+  // so PageRank's site stays buffered even with fold_path = kAuto.
+  o.fold_path = FoldPath::kAuto;
   dv::DvRunner buffered_runner(cp, g, o);
   const auto buffered = buffered_runner.converge();
   EXPECT_FALSE(buffered_runner.atomic_path());
@@ -360,7 +362,7 @@ TEST(AtomicFold, StreamingEpochsFoldAtomically) {
   };
 
   const auto [buf_result, buf_epochs] = run_session(FoldPath::kBuffered);
-  const auto [atm_result, atm_epochs] = run_session(FoldPath::kAtomic);
+  const auto [atm_result, atm_epochs] = run_session(FoldPath::kAuto);
 
   ASSERT_EQ(atm_epochs.size(), buf_epochs.size());
   for (std::size_t e = 0; e < buf_epochs.size(); ++e) {
@@ -395,7 +397,7 @@ TEST(AtomicFold, ObsCounterCountsFolds) {
   dv::DvRunOptions o;
   o.engine = small_engine(4);
   o.collector = &col;
-  o.fold_path = FoldPath::kAtomic;
+  o.fold_path = FoldPath::kAuto;
   dv::run_program(cp, g, o);
   const auto snap = col.metrics.snapshot();
   EXPECT_GT(snap.counters.at("dv.atomic_folds"), 0u);
@@ -405,6 +407,188 @@ TEST(AtomicFold, ObsCounterCountsFolds) {
   o.fold_path = FoldPath::kBuffered;
   dv::run_program(cp, g, o);
   EXPECT_EQ(col2.metrics.snapshot().counters.at("dv.atomic_folds"), 0u);
+}
+
+TEST(AtomicFold, FoldPathFlagTakesAutoOrBuffered) {
+  for (const FoldPath p : {FoldPath::kAuto, FoldPath::kBuffered})
+    EXPECT_EQ(dv::parse_fold_path(dv::fold_path_name(p)), p);
+  try {
+    dv::parse_fold_path("atomic");
+    FAIL() << "'atomic' parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("expected auto|buffered"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// every tier hands its sends to the same sink
+// ---------------------------------------------------------------------------
+
+/// The tiers the host can run: tree and VM always, native where the
+/// toolchain builds.
+std::vector<dv::ExecTier> runnable_tiers() {
+  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
+  if (dv::native::native_unavailable_reason().empty())
+    tiers.push_back(dv::ExecTier::kNative);
+  return tiers;
+}
+
+/// A metered run: the result plus its collector's counters.
+struct Metered {
+  dv::DvRunResult result;
+  obs::MetricsRegistry::Snapshot metrics;
+};
+
+Metered run_metered(const dv::CompiledProgram& cp, const graph::CsrGraph& g,
+                    FoldPath path, dv::ExecTier tier,
+                    std::map<std::string, Value> params = {}) {
+  obs::Collector col(4);
+  Metered m{run_fold(cp, g, path, std::move(params), 4, tier, &col), {}};
+  EXPECT_EQ(m.result.tier_used, tier) << m.result.native_fallback;
+  m.metrics = col.metrics.snapshot();
+  return m;
+}
+
+/// Every state word's type and bit pattern (NaN payloads included).
+std::vector<std::pair<dv::Type, std::int64_t>> state_bits(
+    const dv::DvRunResult& r) {
+  std::vector<std::pair<dv::Type, std::int64_t>> out;
+  for (const Value& v : r.state) out.emplace_back(v.type, v.i);
+  return out;
+}
+
+/// Float min whose send payload is NaN on vertices 0..15: x starts NaN
+/// there and stays NaN (NaN - 1 is NaN, and NaN != NaN keeps the change
+/// check firing), while the other vertices count down. `edge` selects a
+/// per-edge payload (u.x + u.edge) over a span-invariant one (u.x), so
+/// both the per-target send and the span send meet the NaN fallback.
+std::string nan_min_program(bool edge) {
+  return std::string(R"(
+param steps : int;
+init {
+  local x : float = if vertexId < 16 then 0.0 / 0.0 else vertexId;
+  local y : float = 0.0
+};
+iter i {
+  let m : float = min [ u.x)") +
+         (edge ? " + u.edge" : "") + R"( | u <- #in ] in
+  y = m;
+  x = x - 1.0
+} until { i >= steps }
+)";
+}
+
+/// Two directed rings with chords, one over the NaN vertices 0..15 and
+/// one over 16..63, weighted 1..3. A receiver only ever hears from its
+/// own block, so no min fold mixes NaN with numbers: with min's
+/// order-dependent NaN handling that mix would make the result depend on
+/// delivery order, on the buffered path as much as on the atomic one.
+graph::CsrGraph nan_blocks() {
+  graph::GraphBuilder b(64, /*directed=*/true);
+  b.keep_weights();
+  for (const auto& [lo, n] : {std::pair<graph::VertexId, graph::VertexId>{
+                                  0, 16},
+                              {16, 48}}) {
+    for (graph::VertexId k = 0; k < n; ++k) {
+      const graph::VertexId v = lo + k;
+      b.add_edge(v, lo + (k + 1) % n, 1.0 + v % 3);
+      b.add_edge(v, lo + (k + 5) % n, 2.0);
+    }
+  }
+  return b.build();
+}
+
+TEST(AtomicFold, NanPayloadsTakeTheBufferedPathOnEveryTier) {
+  const auto g = nan_blocks();
+  const auto params =
+      std::map<std::string, Value>{{"steps", Value::of_int(6)}};
+  for (const bool edge : {false, true}) {
+    const auto cp = compile_dv(nan_min_program(edge));
+    // The oracle: every contribution buffered, counting the NaN ones.
+    dv::DvRunOptions po;
+    po.engine = small_engine(4);
+    po.params = params;
+    po.fold_path = FoldPath::kBuffered;
+    std::atomic<std::uint64_t> nan_msgs{0};
+    po.send_probe = [&](graph::VertexId, graph::VertexId,
+                        const dv::DvMessage& m) {
+      if (std::isnan(m.payload.as_f())) ++nan_msgs;
+    };
+    const auto probed = dv::run_program(cp, g, po);
+    ASSERT_GT(nan_msgs.load(), 0u);
+
+    for (const dv::ExecTier tier : runnable_tiers()) {
+      SCOPED_TRACE(std::string(dv::exec_tier_name(tier)) +
+                   (edge ? " per-edge" : " span"));
+      const Metered buf = run_metered(cp, g, FoldPath::kBuffered, tier,
+                                      params);
+      const Metered aut = run_metered(cp, g, FoldPath::kAuto, tier, params);
+      EXPECT_EQ(state_bits(aut.result), state_bits(buf.result));
+      EXPECT_EQ(state_bits(buf.result), state_bits(probed));
+      EXPECT_EQ(aut.result.supersteps, buf.result.supersteps);
+      // Exactly the NaN contributions travel as engine messages; every
+      // other contribution folds, and none is counted twice.
+      EXPECT_EQ(aut.result.stats.total_messages_sent(), nan_msgs.load());
+      EXPECT_EQ(aut.result.atomic_folds,
+                buf.result.stats.total_messages_sent() - nan_msgs.load());
+      EXPECT_EQ(aut.metrics.counter("dv.atomic_folds"),
+                aut.result.atomic_folds);
+      EXPECT_EQ(buf.result.atomic_folds, 0u);
+      // The body's NaN sends are buffered messages, so they count as
+      // Δ-messages; its folded sends do not.
+      EXPECT_GT(aut.metrics.counter("dv.delta_messages"), 0u);
+      EXPECT_LT(aut.metrics.counter("dv.delta_messages"),
+                buf.metrics.counter("dv.delta_messages"));
+      EXPECT_EQ(aut.metrics.counter("dv.sends_suppressed"),
+                buf.metrics.counter("dv.sends_suppressed"));
+    }
+  }
+}
+
+TEST(AtomicFold, CountersAgreeAcrossTiers) {
+  // A folded Δ counts in dv.atomic_folds and never in dv.delta_messages,
+  // whichever tier synthesized it. CC sends a span-invariant integer
+  // min; weighted min-plus SSSP sends a per-edge float payload.
+  graph::RmatOptions ro;
+  ro.directed = false;
+  const auto cc_graph = graph::rmat(256, 1024, 41, ro);
+  ro.directed = true;
+  ro.weighted = true;
+  const auto sssp_graph = graph::rmat(256, 1024, 43, ro);
+  struct Case {
+    const char* name;
+    const char* src;
+    const graph::CsrGraph* g;
+    std::map<std::string, Value> params;
+  };
+  const Case cases[] = {
+      {"cc", dv::programs::kConnectedComponents, &cc_graph, {}},
+      {"sssp", dv::programs::kSssp, &sssp_graph,
+       {{"source", Value::of_int(0)}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto cp = compile_dv(c.src);
+    std::vector<Metered> runs;
+    for (const dv::ExecTier tier : runnable_tiers())
+      runs.push_back(run_metered(cp, *c.g, FoldPath::kAuto, tier, c.params));
+    const Metered& ref = runs.front();
+    EXPECT_GT(ref.result.atomic_folds, 0u);
+    EXPECT_EQ(ref.result.stats.total_messages_sent(), 0u);
+    EXPECT_EQ(ref.metrics.counter("dv.delta_messages"), 0u);
+    for (const Metered& m : runs) {
+      SCOPED_TRACE(dv::exec_tier_name(m.result.tier_used));
+      for (const char* name : {"dv.delta_messages", "dv.sends_suppressed",
+                               "dv.atomic_folds"})
+        EXPECT_EQ(m.metrics.counter(name), ref.metrics.counter(name))
+            << name;
+      EXPECT_EQ(m.result.atomic_folds, ref.result.atomic_folds);
+      EXPECT_EQ(m.metrics.counter("dv.atomic_folds"), m.result.atomic_folds);
+      EXPECT_EQ(state_bits(m.result), state_bits(ref.result));
+    }
+  }
 }
 
 }  // namespace

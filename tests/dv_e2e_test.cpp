@@ -124,7 +124,7 @@ TEST(EndToEnd, SsspMatchesDijkstraAndMessageCountsAreEqual) {
             hand.stats.total_messages_sent());
 
   // Lock-free fold path: identical distances, message-free exchange.
-  dopt.fold_path = dv::FoldPath::kAtomic;
+  dopt.fold_path = dv::FoldPath::kAuto;
   const auto dv_atomic =
       dv::run_program(compile_dv(dv::programs::kSssp, true), g, dopt);
   expect_close(dv_atomic.field_as_double("dist"), oracle, 1e-9);
@@ -158,7 +158,7 @@ TEST(EndToEnd, ConnectedComponentsMatchesUnionFind) {
   dopt.fold_path = dv::FoldPath::kBuffered;
   const auto dv_full = dv::run_program(
       compile_dv(dv::programs::kConnectedComponents, true), g, dopt);
-  dopt.fold_path = dv::FoldPath::kAtomic;
+  dopt.fold_path = dv::FoldPath::kAuto;
   const auto dv_atomic = dv::run_program(
       compile_dv(dv::programs::kConnectedComponents, true), g, dopt);
   const auto star_comp = dv_star.field_as_int("comp");

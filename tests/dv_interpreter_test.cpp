@@ -172,8 +172,9 @@ class RecordingSink : public SendSink {
     graph::VertexId dst;
     DvMessage msg;
   };
-  void send(graph::VertexId dst, const DvMessage& msg) override {
+  std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
     sent.push_back({dst, msg});
+    return 1;
   }
   std::vector<Sent> sent;
 };

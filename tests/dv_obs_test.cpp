@@ -10,6 +10,9 @@
 #include "dv/obs/obs.h"
 #include "dv/obs/report.h"
 #include "dv/obs/trace_export.h"
+#include "dv/programs/programs.h"
+#include "dv/runtime/runner.h"
+#include "test_util.h"
 
 namespace deltav::obs {
 namespace {
@@ -137,6 +140,32 @@ TEST(Obs, InstallResolveUninstall) {
   install(nullptr);
   EXPECT_EQ(current(), nullptr);
   EXPECT_EQ(resolve(nullptr), nullptr);
+}
+
+TEST(Obs, CollectorNeedsALanePerWorker) {
+  // Lane w is engine worker w's unsynchronized shard: a collector with
+  // fewer lanes than workers would alias the extra workers onto lane 0
+  // and race, so attaching one is refused by name.
+  const auto g = test::small_undirected();
+  const auto cp = test::compile_dv(dv::programs::kConnectedComponents);
+  dv::DvRunOptions o;
+  o.engine = test::small_engine(3);
+  Collector narrow(1);
+  o.collector = &narrow;
+  try {
+    dv::run_program(cp, g, o);
+    FAIL() << "a 1-lane collector was accepted by a 3-worker run";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 lanes"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 workers"), std::string::npos) << what;
+  }
+
+  Collector wide(3);
+  o.collector = &wide;
+  const auto r = dv::run_program(cp, g, o);
+  EXPECT_GT(r.supersteps, 0u);
+  EXPECT_GT(wide.metrics.snapshot().counter("dv.memo_hits"), 0u);
 }
 
 TEST(Report, MetricsJsonShape) {

@@ -236,7 +236,7 @@ TEST(RetractStream, MemoAgreesAcrossFoldPaths) {
   // through a deletion stream.
   const auto cp = compile_dv(kMinPublishInt);
   auto ao = opts(/*memo_k=*/2);
-  ao.run.fold_path = dv::FoldPath::kAtomic;
+  ao.run.fold_path = dv::FoldPath::kAuto;
   auto bo = opts(/*memo_k=*/2);
   bo.run.fold_path = dv::FoldPath::kBuffered;
   DvStreamSession sa(cp, fan_graph(), ao);

@@ -191,8 +191,8 @@ int main(int argc, char** argv) {
         "ε-slop for §6.3 change checks (0 = exact change detection)");
     const std::string fold_flag = args.get_string(
         "fold_path", "auto",
-        "Δ-send fold path: auto (atomic where proven commutative), "
-        "buffered, or atomic");
+        "Δ-send fold path: auto (atomic where proven commutative) or "
+        "buffered");
     const bool atomic_float = args.get_bool(
         "atomic_float", false,
         "admit float + aggregations to the atomic fold path (ε-close, "
