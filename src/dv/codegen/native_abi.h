@@ -31,7 +31,9 @@ namespace deltav::dv::native {
 /// buffered as messages (the rest it folded lock-free), and the fold-path
 /// route and atomic-fold callback are gone — the host sink alone decides
 /// the fold path, so emitted code only ever sends.
-inline constexpr std::uint32_t kDvnAbiVersion = 2;
+/// v3: DvnCtx gains `record_sites`: Δ loops also send those sites'
+/// no-ops, which the host sink records as retraction-memo removals.
+inline constexpr std::uint32_t kDvnAbiVersion = 3;
 
 extern "C" {
 
@@ -73,6 +75,7 @@ struct DvnCtx {
   std::int64_t iter;
   std::uint8_t stable;
   std::uint64_t suppress_sites;
+  std::uint64_t record_sites;
   std::uint64_t graph_size;
   double cur_edge_weight;
 

@@ -404,6 +404,7 @@ class NativeEmitter {
   /// with the whole-span single-synthesis specialization when the payload
   /// is span-invariant. The host sink picks the fold path per send and
   /// returns how many contributions it buffered; only those are counted.
+  /// No-op Δs of ctx.record_sites still reach it, as memo removals.
   void gen_send_loop(const Expr& e) {
     const AggSite& site = prog_.sites[static_cast<std::size_t>(e.site)];
     const std::string op = std::to_string(static_cast<int>(site.op));
@@ -437,10 +438,9 @@ class NativeEmitter {
       line("const DvnValue dvn_ov = dvn_coerce(" + ov + ", " + tg + ");");
       line("const DvnDelta dvn_d = dvn_synth_delta(" + op + ", " + tg +
            ", dvn_ov, dvn_nv);");
-      open("if (dvn_d.noop) {");
-      line("if (ctx.has_obs) ctx.obs_add(ctx.host, kObsSendsSuppressed, "
-           "dvn_nt);");
-      reopen("} else {");
+      line("if (dvn_d.noop && ctx.has_obs) ctx.obs_add(ctx.host, "
+           "kObsSendsSuppressed, dvn_nt);");
+      open("if (!dvn_d.noop || (ctx.record_sites & (1ull << " + S + "))) {");
       line("DvnMsg dvn_msg; dvn_msg.payload = dvn_d.value; "
            "dvn_msg.nulls = dvn_d.nulls; dvn_msg.denulls = dvn_d.denulls;");
       set_envelope("dvn_msg");
@@ -478,7 +478,8 @@ class NativeEmitter {
       line("const DvnValue dvn_ov = dvn_coerce(" + ov + ", " + tg + ");");
       line("const DvnDelta dvn_d = dvn_synth_delta(" + op + ", " + tg +
            ", dvn_ov, dvn_nv);");
-      line("if (dvn_d.noop) { ++dvn_sup; continue; }");
+      line("if (dvn_d.noop) { ++dvn_sup; "
+           "if (!(ctx.record_sites & (1ull << " + S + "))) continue; }");
       line("DvnMsg dvn_msg; dvn_msg.payload = dvn_d.value; "
            "dvn_msg.nulls = dvn_d.nulls; dvn_msg.denulls = dvn_d.denulls;");
       set_envelope("dvn_msg");
@@ -566,6 +567,7 @@ struct DvnCtx {
   std::int64_t iter;
   std::uint8_t stable;
   std::uint64_t suppress_sites;
+  std::uint64_t record_sites;
   std::uint64_t graph_size;
   double cur_edge_weight;
   std::uint8_t halt_requested;

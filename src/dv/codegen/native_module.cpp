@@ -310,6 +310,7 @@ Value NativeProgram::run_root(int idx, EvalContext& ctx) const {
   c.iter = ctx.iter;
   c.stable = ctx.stable ? 1 : 0;
   c.suppress_sites = ctx.suppress_sites;
+  c.record_sites = ctx.record_sites;
   c.graph_size = ctx.graph ? ctx.graph->num_vertices() : 0;
   c.cur_edge_weight = ctx.cur_edge_weight;
   c.halt_requested = ctx.halt_requested ? 1 : 0;

@@ -104,11 +104,9 @@ Value eval_send_loop(const Expr& e, EvalContext& ctx) {
     return unit();
   }
 
-  // Retraction-memo hook: routed sites record the sender's new total for
-  // every target — including no-op Δs, whose identity payload is exactly
+  // Memo-routed sites send their no-op Δs too: the identity payload is
   // the "this sender no longer contributes" removal record.
-  const int rcol =
-      ctx.retract ? ctx.retract->route[static_cast<std::size_t>(e.site)] : -1;
+  const bool record_noops = (ctx.record_sites & (1ULL << e.site)) != 0;
 
   std::uint64_t n_suppressed = 0, n_delta = 0, n_full = 0;
   const std::uint8_t wire = (*ctx.site_wire)[static_cast<std::size_t>(
@@ -121,13 +119,9 @@ Value eval_send_loop(const Expr& e, EvalContext& ctx) {
       const Value old_v = eval(*e.kids[1], ctx).coerce(site.elem_type);
       const DeltaPayload d =
           synthesize_delta(site.op, site.elem_type, old_v, new_v);
-      if (rcol >= 0)
-        ctx.retract_lane->record(targets[i],
-                                 static_cast<std::uint32_t>(v), rcol,
-                                 atomic_fold_bits(site.elem_type, new_v));
       if (d.noop) {  // a meaningless message by construction (§6.3)
         ++n_suppressed;
-        continue;
+        if (!record_noops) continue;
       }
       n_delta += ctx.sink->send(targets[i], delta_message(e.site, wire, d));
     } else {

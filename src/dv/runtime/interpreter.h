@@ -12,7 +12,6 @@
 #include "dv/ast.h"
 #include "dv/obs/metrics.h"
 #include "dv/runtime/message.h"
-#include "dv/streaming/retract/retract_memo.h"
 #include "dv/runtime/value.h"
 #include "graph/graph_view.h"
 
@@ -20,10 +19,11 @@ namespace deltav::dv {
 
 /// Where send loops deliver their contributions. The runner adapts this
 /// onto the Pregel engine context and decides there, per send, whether a
-/// Δ folds lock-free into a pending slot (atomic_fold.h) or travels as a
-/// message; tests use recording sinks. Both calls return how many of the
-/// contributions were buffered as messages — the tiers count exactly
-/// those as sent messages, so a folded Δ is never counted twice.
+/// Δ is recorded into a retraction memo (retract_memo.h), folds lock-free
+/// into a pending slot (atomic_fold.h) or travels as a message; tests use
+/// recording sinks. Both calls return how many of the contributions were
+/// buffered as messages — the tiers count exactly those as sent messages,
+/// so a folded or memo-kept Δ is never counted twice.
 class SendSink {
  public:
   virtual ~SendSink() = default;
@@ -63,14 +63,10 @@ struct EvalContext {
   const std::vector<std::uint8_t>* site_wire = nullptr;  // bytes per site
   std::uint64_t suppress_sites = 0;  // bitmask: skip sends for these sites
 
-  // Retraction memos (streaming/retract/retract_memo.h). Non-null only
-  // when the runner routed at least one min/max site through the memo:
-  // send loops for routed sites then record the sender's new total (or
-  // the identity, for no-longer-contributing no-ops) into this lane's
-  // record buffer, on top of whatever fold path the sink picks.
-  // Null everywhere else — one pointer test, zero cost when off.
-  RetractMemoTable* retract = nullptr;
-  RetractLane* retract_lane = nullptr;
+  // bitmask: memo-routed sites, whose no-op Δs still reach the sink (a
+  // retraction memo stores an identity total as the sender's removal).
+  // Such a no-op still counts as suppressed.
+  std::uint64_t record_sites = 0;
 
   // Reference interpretation of remote reads (CompileOptions::lower_remote
   // = false; tree tier only). Points at an iteration-start snapshot of the

@@ -9,6 +9,7 @@
 #include "dv/persist/snapshot.h"
 #include "dv/runtime/delta.h"
 #include "dv/runtime/vm.h"
+#include "dv/streaming/retract/retract_memo.h"
 #include "pregel/aggregator.h"
 
 namespace deltav::dv {
@@ -28,11 +29,12 @@ constexpr std::uint64_t kInlineFrontierShare = 8;
 
 /// Adapts the engine's per-vertex send API to the interpreter's SendSink,
 /// optionally teeing every message into the debug probe. Every tier's
-/// sends meet the fold-path decision here: the bound FoldRouter folds
-/// routed sites into the pending slots, and everything else enters the
-/// engine. The probe and the atomic path are mutually exclusive (the
-/// runner forces buffered under a probe: a message probe has nothing to
-/// observe on a message-free path).
+/// sends meet the memo and fold-path decisions here: the bound
+/// MemoRecorder records memo-routed sites (keeping removal records back),
+/// the bound FoldRouter folds routed sites into the pending slots, and
+/// everything else enters the engine. The probe and the atomic path are
+/// mutually exclusive (the runner forces buffered under a probe: a
+/// message probe has nothing to observe on a message-free path).
 class EngineSink : public SendSink {
  public:
   using Ctx = DvEngine::Context;
@@ -42,8 +44,9 @@ class EngineSink : public SendSink {
     ctx_ = ctx;
     probe_ = probe && *probe ? probe : nullptr;
   }
-  void route(FoldRouter router) { router_ = router; }
+  void route(FoldRouter r, MemoRecorder m) { router_ = r; recorder_ = m; }
   std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
+    if (recorder_.record({&dst, 1}, ctx_->vertex(), msg)) return 0;
     if (router_.fold({&dst, 1}, msg)) return 0;
     if (probe_) (*probe_)(ctx_->vertex(), dst, msg);
     ctx_->send(dst, msg);
@@ -51,6 +54,7 @@ class EngineSink : public SendSink {
   }
   std::uint64_t send_span(std::span<const graph::VertexId> dsts,
                           const DvMessage& msg) override {
+    if (recorder_.record(dsts, ctx_->vertex(), msg)) return 0;
     if (router_.fold(dsts, msg)) return 0;
     if (probe_)
       for (const graph::VertexId dst : dsts) (*probe_)(ctx_->vertex(), dst, msg);
@@ -62,6 +66,7 @@ class EngineSink : public SendSink {
   Ctx* ctx_ = nullptr;
   const Probe* probe_ = nullptr;
   FoldRouter router_;
+  MemoRecorder recorder_;
 };
 
 /// Does any node of `e` contain `stable`? (Pre-analyzed by typecheck, but
@@ -170,9 +175,6 @@ class DvRunner::Impl {
     // when the session asked for it (minmax_memo_k > 0). Single-statement
     // programs only — the memo's drain re-converges statement 0, which is
     // exactly the warm-epoch restriction warm_blocker already imposes.
-    // Computed before the native build below so a memoized program takes
-    // the announced VM fallback instead of compiling send sites the memo
-    // cannot observe.
     retract_table_.k = options_.minmax_memo_k;
     retract_table_.route.assign(prog_.sites.size(), -1);
     if (cp_.options.incrementalize && options_.minmax_memo_k > 0 &&
@@ -187,13 +189,14 @@ class DvRunner::Impl {
         retract_table_.types.push_back(site.elem_type);
         retract_table_.identity.push_back(atomic_fold_bits(
             site.elem_type, agg_identity(site.op, site.elem_type)));
+        record_sites_ |= std::uint64_t{1} << site.id;
         memo_edge_feedback_ =
             memo_edge_feedback_ || site.memo_edge_feedback;
       }
     }
     if (!retract_table_.empty()) {
       retract_table_.reset(n);
-      retract_lanes_.resize(static_cast<std::size_t>(W));
+      memo_lanes_.resize(static_cast<std::size_t>(W));
       if (memo_edge_feedback_) {
         // Class B feedback adds u.edge per hop: the rising-repair argument
         // needs strictly positive weights, enforced at runtime against
@@ -245,10 +248,6 @@ class DvRunner::Impl {
         col->metrics.add_named("dv.native_fallbacks." + cause);
       }
     };
-    if (tier == ExecTier::kNative && !retract_table_.empty())
-      note_native_fallback(
-          "unsupported: minmax_memo: retraction memos record at "
-          "interpreted send sites");
     if (tier == ExecTier::kNative) {
       obs::Collector* const col = obs::resolve(options_.collector);
       const native::NativeBuildReport rep = native::build_native(cp_);
@@ -449,15 +448,12 @@ class DvRunner::Impl {
       EvalContext ctx = make_ctx(0);
       ctx.has_vertex = true;
       ctx.sink = &apply_sink;
-      if (!retract_table_.empty()) {
-        ctx.retract = &retract_table_;
-        ctx.retract_lane = &retract_lanes_.front();
-      }
       const int init_chunk =
           vm_ ? vm_->program().chunk_of(*prog_.init) : -1;
       for (std::size_t vv = old_n; vv < new_n; ++vv) {
         const auto v = static_cast<graph::VertexId>(vv);
         ctx.vertex = v;
+        apply_sink.sender = v;
         ctx.fields = fields_of(v);
         std::copy(scratch_defaults_.begin(), scratch_defaults_.end(),
                   ctx.scratch.begin());
@@ -522,7 +518,7 @@ class DvRunner::Impl {
                 old = &old_list[oi++].second;
             }
             if (rcol >= 0) {
-              retract_lanes_.front().record(
+              memo_lanes_.front().record(
                   dst, static_cast<std::uint32_t>(v), rcol,
                   atomic_fold_bits(site.elem_type, now));
               continue;
@@ -926,7 +922,7 @@ class DvRunner::Impl {
     if (retract_table_.empty()) return;
     retract_changes_last_step_ = 0;
     retract_scratch_.clear();
-    for (RetractLane& lane : retract_lanes_) {
+    for (RetractLane& lane : memo_lanes_) {
       retract_scratch_.insert(retract_scratch_.end(), lane.records.begin(),
                               lane.records.end());
       lane.records.clear();
@@ -1061,14 +1057,17 @@ class DvRunner::Impl {
 
   /// SendSink that short-circuits the engine: messages land in receiver
   /// state immediately, so none is buffered. Used for epoch-start
-  /// synthesis only (push_first of added vertices routes through it).
+  /// synthesis only (push_first of added vertices routes through it, with
+  /// `sender` the vertex being initialized).
   class ApplySink : public SendSink {
    public:
     explicit ApplySink(Impl* runner) : runner_(runner) {}
     std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
-      runner_->apply_direct(dst, msg);
+      if (!runner_->recorder(0).record({&dst, 1}, sender, msg))
+        runner_->apply_direct(dst, msg);
       return 0;
     }
+    graph::VertexId sender = 0;
 
    private:
     Impl* runner_;
@@ -1079,6 +1078,13 @@ class DvRunner::Impl {
   FoldRouter router(std::size_t w) {
     if (atomic_table_.empty()) return {};
     return {&atomic_table_, &atomic_lanes_[w]};
+  }
+
+  /// The retraction-memo recorder for worker lane `w`; records nothing
+  /// when no site is memoized.
+  MemoRecorder recorder(std::size_t w) {
+    if (retract_table_.empty()) return {};
+    return {&retract_table_, &memo_lanes_[w]};
   }
 
   /// The stored-arc span a site's push sends traverse from `v`; with
@@ -1233,6 +1239,7 @@ class DvRunner::Impl {
     ctx.graph = &g_;
     ctx.params = params_;
     ctx.site_wire = &site_wire_;
+    ctx.record_sites = record_sites_;
     ctx.scratch = worker_scratch_[static_cast<std::size_t>(worker)];
     return ctx;
   }
@@ -1281,13 +1288,6 @@ class DvRunner::Impl {
         d.noop = is_identity(site.op, v0);
         return d;
       };
-      // Memo-routed sites record each initial contribution so the memo's
-      // buffers are populated from the very first push (no-op identity
-      // payloads stay unrecorded — absence already means identity).
-      const int rcol =
-          ctx.retract
-              ? ctx.retract->route[static_cast<std::size_t>(site.id)]
-              : -1;
       Value bound{};
       bool bound_set = false;
       if (!targets.empty() &&
@@ -1304,15 +1304,8 @@ class DvRunner::Impl {
           bound_set = true;
         }
         const DeltaPayload d = first(v0);
-        if (!d.noop) {
+        if (!d.noop)
           ctx.sink->send_span(targets, delta_message(site.id, wire, d));
-          if (rcol >= 0) {
-            const std::uint64_t bits = atomic_fold_bits(site.elem_type, v0);
-            for (const graph::VertexId dst : targets)
-              ctx.retract_lane->record(dst, static_cast<std::uint32_t>(v),
-                                       rcol, bits);
-          }
-        }
       } else {
         for (std::size_t i = 0; i < targets.size(); ++i) {
           ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[i];
@@ -1324,10 +1317,6 @@ class DvRunner::Impl {
           const DeltaPayload d = first(v0);
           if (d.noop) continue;
           ctx.sink->send(targets[i], delta_message(site.id, wire, d));
-          if (rcol >= 0)
-            ctx.retract_lane->record(targets[i],
-                                     static_cast<std::uint32_t>(v), rcol,
-                                     atomic_fold_bits(site.elem_type, v0));
         }
       }
       if (site.bound_field >= 0) {
@@ -1396,9 +1385,9 @@ class DvRunner::Impl {
   };
 
   /// One lane per engine worker, built once per superstep loop: the
-  /// context is bound to the worker's scratch, metrics shard, fold-router
-  /// lane and retraction-memo lane, so the per-vertex work (enter) is only
-  /// the vertex-varying views.
+  /// context is bound to the worker's scratch and metrics shard, and the
+  /// sink to its fold-router and memo-recorder lanes, so the per-vertex
+  /// work (enter) is only the vertex-varying views.
   std::vector<WorkerLane> make_lanes() {
     const std::size_t W = worker_scratch_.size();
     obs::Collector* const col = obs::resolve_for(options_.collector, W);
@@ -1409,11 +1398,7 @@ class DvRunner::Impl {
       c.sink = &lanes[w].sink;
       c.has_vertex = true;
       c.obs = col ? &col->metrics.shard(w) : nullptr;
-      lanes[w].sink.route(router(w));
-      if (!retract_table_.empty()) {
-        c.retract = &retract_table_;
-        c.retract_lane = &retract_lanes_[w];
-      }
+      lanes[w].sink.route(router(w), recorder(w));
     }
     return lanes;
   }
@@ -1737,9 +1722,10 @@ class DvRunner::Impl {
   // and the Class B runtime guard state. Empty/zero when minmax_memo_k is
   // 0 or no site qualifies — every hot-path hook is then one null test.
   RetractMemoTable retract_table_;
-  std::vector<RetractLane> retract_lanes_;
+  std::vector<RetractLane> memo_lanes_;
   std::vector<RetractRecord> retract_scratch_;
   std::vector<RetractEntry> refold_scratch_;
+  std::uint64_t record_sites_ = 0;  // memo-routed sites, as a site bitmask
   bool memo_edge_feedback_ = false;
   double min_weight_lb_ = std::numeric_limits<double>::infinity();
   std::uint64_t retract_changes_last_step_ = 0;  // quiescence extension

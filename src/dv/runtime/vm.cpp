@@ -391,20 +391,16 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
       }
       const std::uint8_t wire =
           (*ctx.site_wire)[static_cast<std::size_t>(I->imm)];
-      // Retraction-memo hook (mirrors the tree tier): routed sites record
-      // the sender's new total per target, no-op Δs included (identity
-      // totals are the removal records).
-      const int rcol = ctx.retract
-                           ? ctx.retract->route[static_cast<std::size_t>(
-                                 I->imm)]
-                           : -1;
+      // Memo-routed sites send their no-op Δs too (identity totals are
+      // the removal records), as in the tree tier.
+      const bool record_noops = (ctx.record_sites & (1ULL << I->imm)) != 0;
       if (send_operand_src(I->b) != SendSrc::kChunk &&
           send_operand_src(I->c) != SendSrc::kChunk) {
         // Direct operands (field/scratch/const) cannot depend on the edge,
         // so they are invariant across the neighbor span: synthesize one Δ
-        // for the whole loop, and when it is a no-op skip the span
-        // entirely. The per-edge values the tree interpreter re-evaluates
-        // are identical by purity, so so are the messages.
+        // for the whole loop, and when it is an unrecorded no-op skip the
+        // span entirely. The per-edge values the tree interpreter
+        // re-evaluates are identical by purity, so so are the messages.
         if (!targets.empty()) {
           ctx.cur_edge_weight =
               weights.empty() ? 1.0 : weights[targets.size() - 1];
@@ -412,19 +408,11 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
           const Value old_v = send_operand(I->c, site.elem_type, ctx);
           const DeltaPayload d =
               synthesize_delta(site.op, site.elem_type, old_v, new_v);
-          if (rcol >= 0) {
-            const std::uint64_t bits =
-                atomic_fold_bits(site.elem_type, new_v);
-            for (const graph::VertexId dst : targets)
-              ctx.retract_lane->record(
-                  dst, static_cast<std::uint32_t>(ctx.vertex), rcol, bits);
-          }
-          if (!d.noop) {
+          if (d.noop) DV_OBS_COUNT(shard, kSendsSuppressed, targets.size());
+          if (!d.noop || record_noops) {
             const std::uint64_t sent = ctx.sink->send_span(
                 targets, delta_message(I->imm, wire, d));
             DV_OBS_COUNT(shard, kDeltaMessages, sent);
-          } else {
-            DV_OBS_COUNT(shard, kSendsSuppressed, targets.size());
           }
         }
       } else {
@@ -435,13 +423,9 @@ Value Vm::run_chunk(int chunk_id, EvalContext& ctx) const {
           const Value old_v = send_operand(I->c, site.elem_type, ctx);
           const DeltaPayload d =
               synthesize_delta(site.op, site.elem_type, old_v, new_v);
-          if (rcol >= 0)
-            ctx.retract_lane->record(
-                targets[t], static_cast<std::uint32_t>(ctx.vertex), rcol,
-                atomic_fold_bits(site.elem_type, new_v));
           if (d.noop) {
             ++n_suppressed;
-            continue;
+            if (!record_noops) continue;
           }
           n_delta +=
               ctx.sink->send(targets[t], delta_message(I->imm, wire, d));

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dv/runtime/atomic_fold.h"
@@ -136,6 +137,30 @@ struct RetractMemoTable {
   int find(const RetractEntry* cell, std::uint8_t count,
            std::uint32_t sender) const;
   int worst(int c, const RetractEntry* cell, std::uint8_t count) const;
+};
+
+/// The memo's counterpart of FoldRouter: the runner's sinks, which every
+/// tier sends through, ask here before the fold path, so only they write
+/// records. A min/max Δ is the sender's new total, so the payload's bits
+/// are the record, and identity bits are the sender's removal.
+struct MemoRecorder {
+  RetractMemoTable* table = nullptr;  // null: nothing is memoized
+  RetractLane* lane = nullptr;        // the caller's worker lane
+
+  /// Writes one record per destination when `msg.site` is memo-routed.
+  /// Returns true when the payload is the column's identity: a removal
+  /// record only, which the caller must not deliver.
+  bool record(std::span<const graph::VertexId> dsts, graph::VertexId sender,
+              const DvMessage& msg) {
+    if (table == nullptr) return false;
+    const int col = table->route[msg.site];
+    if (col < 0) return false;
+    const auto c = static_cast<std::size_t>(col);
+    const std::uint64_t bits = atomic_fold_bits(table->types[c], msg.payload);
+    for (const graph::VertexId dst : dsts)
+      lane->record(dst, static_cast<std::uint32_t>(sender), col, bits);
+    return bits == table->identity[c];
+  }
 };
 
 }  // namespace deltav::dv

@@ -4,6 +4,8 @@
 // must hold (ΔV < ΔV* on PageRank/HITS; exact equality on SSSP/CC).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "algorithms/connected_components.h"
 #include "algorithms/hits.h"
 #include "algorithms/pagerank.h"
@@ -281,12 +283,19 @@ TEST(EndToEnd, MaxGossipReachesComponentMaximum) {
 
 // Engine configuration × execution tier: the tree interpreter is the
 // reference semantics, so half the matrix runs it and half the VM.
+// gtest names each case after the raw bytes of its parameter, so the
+// bytes after the trailing flag are a zeroed member rather than
+// uninitialized padding, which keeps the test names the same from one
+// build to the next.
 struct EngineConfig {
   int workers;
   pregel::PartitionScheme partition;
   dv::ExecTier tier;
   bool combiner;
+  std::uint8_t zeroed[3] = {};
 };
+static_assert(sizeof(EngineConfig) == 16,
+              "EngineConfig must have no padding");
 
 class EngineMatrixTest : public ::testing::TestWithParam<EngineConfig> {};
 

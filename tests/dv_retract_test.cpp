@@ -8,17 +8,22 @@
 // underflow is reported rather than guessed around. The session tests
 // drive real deletion streams through DvStreamSession and require the
 // warm result to match a from-scratch oracle, across fold paths, across
-// tiers, and through snapshot round-trips (including the k-mismatch
-// refusal — a k-best buffer cannot be reinterpreted across capacities).
+// the tree, VM and native tiers (native where the host can build it),
+// and through snapshot round-trips (including the k-mismatch refusal — a
+// k-best buffer cannot be reinterpreted across capacities).
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "dv/codegen/native_module.h"
+#include "dv/obs/obs.h"
 #include "dv/persist/snapshot.h"
 #include "dv/programs/programs.h"
 #include "dv/streaming/retract/retract_memo.h"
@@ -174,10 +179,36 @@ SessionOptions opts(std::size_t memo_k,
 }
 
 dv::DvRunResult oracle(const dv::CompiledProgram& cp,
-                       const DvStreamSession& s) {
+                       const DvStreamSession& s,
+                       const std::map<std::string, dv::Value>& params = {}) {
   dv::DvRunOptions o;
   o.engine = small_engine();
+  o.params = params;
   return dv::run_program(cp, s.graph().materialize(), o);
+}
+
+/// Tree and VM always; native too where the host can build it.
+std::vector<dv::ExecTier> memo_tiers() {
+  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
+  if (dv::native::native_unavailable_reason().empty())
+    tiers.push_back(dv::ExecTier::kNative);
+  return tiers;
+}
+
+/// A memo session runs on the tier it asked for: native no longer falls
+/// back to the VM when a site is memoized.
+void expect_tier(const dv::DvRunResult& r, dv::ExecTier tier) {
+  EXPECT_EQ(r.tier_used, tier) << "fell back: " << r.native_fallback;
+  EXPECT_TRUE(r.native_fallback.empty()) << r.native_fallback;
+}
+
+void expect_bit_equal(const std::vector<double>& got,
+                      const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "vertex " << i << ": " << got[i] << " vs " << want[i];
 }
 
 // --------------------------------------------------- underflow end-to-end
@@ -230,8 +261,8 @@ TEST(RetractStream, MemoOffPreservesLegacyColdBehavior) {
 // ------------------------------------------------- memo ⊕ atomic fold path
 
 TEST(RetractStream, MemoAgreesAcrossFoldPaths) {
-  // Integer min qualifies for the lock-free fold path outright; the memo
-  // records at both the buffered and the atomic Δ-fold sites. The two
+  // Integer min qualifies for the lock-free fold path outright; the sink
+  // records into the memo ahead of either fold path. The two
   // sessions must agree bit-for-bit on state and on warm decisions
   // through a deletion stream.
   const auto cp = compile_dv(kMinPublishInt);
@@ -260,44 +291,142 @@ TEST(RetractStream, MemoAgreesAcrossFoldPaths) {
   EXPECT_EQ(sa.result().field_as_int("m")[5], 5);  // mass(4) = 1 + 4
 }
 
+// ------------------------------------------- removal records, every tier
+
+/// Weighted DAG for kSsspRetract (source 0). Every path from the source
+/// to 4..9 crosses 3 → 4, so deleting that arc cuts the suffix off; 7 has
+/// two in-arcs of different cost, so at k = 1 losing the cheaper one
+/// underflows its memo cell.
+graph::CsrGraph cut_dag() {
+  graph::GraphBuilder b(10, /*directed=*/true);
+  b.keep_weights(true);
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(0, 2, 2.0);
+  b.add_edge(1, 3, 1.5);
+  b.add_edge(2, 3, 1.0);
+  b.add_edge(3, 4, 1.0);
+  b.add_edge(4, 5, 0.5);
+  b.add_edge(4, 6, 2.0);
+  b.add_edge(5, 7, 1.0);
+  b.add_edge(6, 7, 0.25);
+  b.add_edge(7, 8, 1.0);
+  b.add_edge(8, 9, 1.0);
+  b.add_edge(5, 9, 4.0);
+  return b.build();
+}
+
+/// Cut the suffix off (4..9 go to +inf), reconnect it, drop 7's cheaper
+/// in-arc, then cut the suffix off again.
+std::vector<MutationBatch> cut_stream() {
+  std::vector<MutationBatch> stream(4);
+  stream[0].remove_edge(3, 4);
+  stream[1].insert_edge(2, 4, 3.0);
+  stream[2].remove_edge(5, 7);
+  stream[3].remove_edge(2, 4);
+  return stream;
+}
+
+/// Runs cut_stream() on `tier` and requires every epoch to stay warm and
+/// to equal a cold run on the mutated graph bit for bit. When the suffix
+/// is cut off, 4's body sends +inf to 5 and 6: a no-op Δ, which reaches
+/// the memo only as a removal record. Dropping it would leave 5..9 at
+/// their old finite distances.
+void run_cut_stream(const dv::CompiledProgram& cp, dv::ExecTier tier,
+                    dv::FoldPath fold, obs::Collector* col) {
+  const std::map<std::string, dv::Value> params = {
+      {"source", dv::Value::of_int(0)}};
+  SessionOptions o = opts(/*memo_k=*/1, tier);
+  o.run.params = params;
+  o.run.fold_path = fold;
+  o.run.collector = col;
+  DvStreamSession s(cp, cut_dag(), o);
+  s.converge();
+  ASSERT_TRUE(s.memo_path());
+  expect_tier(s.result(), tier);
+  const std::vector<MutationBatch> stream = cut_stream();
+  for (std::size_t e = 0; e < stream.size(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e + 1));
+    const SessionEpoch ep = s.apply(stream[e]);
+    ASSERT_TRUE(ep.warm) << "blocked: " << (ep.blocker ? ep.blocker : "?");
+    const auto got = s.result().field_as_double("dist");
+    if (e == 0 || e == 3) {
+      for (graph::VertexId v = 4; v < 10; ++v)
+        EXPECT_TRUE(std::isinf(got[v])) << "vertex " << v;
+    }
+    expect_bit_equal(got, oracle(cp, s, params).field_as_double("dist"));
+  }
+}
+
+TEST(RetractStream, CutOffSuffixMatchesColdOracleOnEveryTier) {
+  const auto cp = compile_dv(dv::programs::kSsspRetract);
+  for (const dv::ExecTier tier : memo_tiers()) {
+    SCOPED_TRACE(dv::exec_tier_name(tier));
+    run_cut_stream(cp, tier, dv::FoldPath::kAuto, nullptr);
+  }
+}
+
+TEST(RetractStream, MemoCountersAgreeAcrossTiers) {
+  const auto cp = compile_dv(dv::programs::kSsspRetract);
+  const char* const kNames[] = {
+      "dv.minmax_retractions", "dv.minmax_refolds", "dv.minmax_underflows",
+      "dv.atomic_folds",       "dv.sends_suppressed", "dv.delta_messages"};
+  for (const dv::FoldPath fold :
+       {dv::FoldPath::kAuto, dv::FoldPath::kBuffered}) {
+    SCOPED_TRACE(fold == dv::FoldPath::kAuto ? "auto" : "buffered");
+    std::vector<std::uint64_t> want;
+    for (const dv::ExecTier tier : memo_tiers()) {
+      SCOPED_TRACE(dv::exec_tier_name(tier));
+      obs::Collector col;
+      run_cut_stream(cp, tier, fold, &col);
+      const auto snap = col.metrics.snapshot();
+      EXPECT_EQ(snap.counter("dv.native_fallbacks"), 0u);
+      std::vector<std::uint64_t> got;
+      for (const char* name : kNames) got.push_back(snap.counter(name));
+      if (want.empty()) want = got;
+      EXPECT_EQ(got, want);
+    }
+    // The stream retracts, underflows and refolds, and sends through the
+    // path under test.
+    EXPECT_GT(want[0], 0u);
+    EXPECT_GT(want[1], 0u);
+    EXPECT_GT(want[2], 0u);
+    EXPECT_GT(fold == dv::FoldPath::kAuto ? want[3] : want[5], 0u);
+  }
+}
+
 // -------------------------------------------------------------- snapshots
 
 TEST(RetractSnapshot, RoundTripAndCrossTierRestore) {
   const auto cp = compile_dv(kMinPublishFloat);
-  DvStreamSession s(cp, fan_graph(), opts(/*memo_k=*/2));
-  s.converge();
-  {
-    MutationBatch b;
-    b.remove_edge(0, 5);  // leave real retraction state in the memo
-    ASSERT_TRUE(s.apply(b).warm);
-  }
-  const std::vector<std::uint8_t> snap = s.save_bytes();
-
-  // Same-tier restore: the next deletion must take the same warm path
-  // and land bit-exact with the uninterrupted session.
-  auto r = DvStreamSession::restore_bytes(cp, snap, opts(2));
-  // Cross-tier restore: tiers are bit-identical by contract, memo
-  // included.
-  auto rt = DvStreamSession::restore_bytes(cp, snap,
-                                           opts(2, dv::ExecTier::kTree));
   MutationBatch b2;
   b2.remove_edge(1, 5);
-  const SessionEpoch e0 = s.apply(b2);
-  const SessionEpoch e1 = r->apply(b2);
-  const SessionEpoch e2 = rt->apply(b2);
-  ASSERT_TRUE(e0.warm);
-  EXPECT_EQ(e0.warm, e1.warm);
-  EXPECT_EQ(e0.warm, e2.warm);
-  EXPECT_EQ(e0.stats.supersteps, e1.stats.supersteps);
-  EXPECT_EQ(e0.stats.supersteps, e2.stats.supersteps);
-  const auto want = s.result().field_as_double("m");
-  for (const auto* restored : {r.get(), rt.get()}) {
-    const auto got = restored->result().field_as_double("m");
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-                std::bit_cast<std::uint64_t>(want[i]))
-          << "vertex " << i;
+  for (const dv::ExecTier from : memo_tiers()) {
+    SCOPED_TRACE(std::string("saved on ") + dv::exec_tier_name(from));
+    DvStreamSession s(cp, fan_graph(), opts(/*memo_k=*/2, from));
+    s.converge();
+    expect_tier(s.result(), from);
+    {
+      MutationBatch b;
+      b.remove_edge(0, 5);  // leave real retraction state in the memo
+      ASSERT_TRUE(s.apply(b).warm);
+    }
+    const std::vector<std::uint8_t> snap = s.save_bytes();
+    const SessionEpoch e0 = s.apply(b2);
+    ASSERT_TRUE(e0.warm);
+    const auto want = s.result().field_as_double("m");
+
+    // Same-tier and cross-tier restores: the next deletion must take the
+    // same warm path and land bit-exact with the uninterrupted session —
+    // tiers are bit-identical by contract, memo included.
+    for (const dv::ExecTier to : memo_tiers()) {
+      SCOPED_TRACE(std::string("restored on ") + dv::exec_tier_name(to));
+      auto r = DvStreamSession::restore_bytes(cp, snap, opts(2, to));
+      expect_tier(r->result(), to);
+      const SessionEpoch e1 = r->apply(b2);
+      EXPECT_EQ(e0.warm, e1.warm);
+      EXPECT_EQ(e0.stats.supersteps, e1.stats.supersteps);
+      expect_bit_equal(r->result().field_as_double("m"), want);
+    }
   }
 }
 
