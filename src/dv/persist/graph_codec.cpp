@@ -136,6 +136,7 @@ graph::DynamicGraph GraphCodec::read(SnapshotReader& r) {
       };
   check_side(g.out_slot_, g.out_targets_ov_, g.out_weights_ov_);
   check_side(g.in_slot_, g.in_targets_ov_, g.in_weights_ov_);
+  g.recount_overlay();
   return g;
 }
 

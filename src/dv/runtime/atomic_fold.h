@@ -40,6 +40,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -161,25 +162,75 @@ struct AtomicFoldTable {
 
 /// Per-worker-lane frontier bitmap plus fold counter. Single-writer: only
 /// the owning lane marks bits during a superstep; the runner ORs all lanes
-/// together in the post-barrier drain.
-struct AtomicFoldLane {
+/// together in the post-barrier drain (for_each_marked below).
+///
+/// The frontier has two levels so a drain costs O(|V|/4096 + marked
+/// words) rather than a sweep of every word: `summary` holds one bit per
+/// frontier word, set by mark() alongside the vertex bit. Aligned to a
+/// cache line because every fold bumps `folds`; lanes packed back to back
+/// in the runner's vector would false-share across workers.
+struct alignas(64) AtomicFoldLane {
   /// words[column * words_per_column + (v >> 6)], bit (v & 63).
   std::vector<std::uint64_t> words;
+  /// summary[i >> 6], bit (i & 63): words[i] may be nonzero.
+  std::vector<std::uint64_t> summary;
   std::size_t words_per_column = 0;
   std::uint64_t folds = 0;  // contributions folded by this lane
 
   void reset(std::size_t n, std::size_t columns) {
     words_per_column = (n + 63) / 64;
     words.assign(words_per_column * columns, 0);
+    summary.assign((words.size() + 63) / 64, 0);
     folds = 0;
   }
 
   void mark(graph::VertexId v, int column) {
-    words[static_cast<std::size_t>(column) * words_per_column +
-          (static_cast<std::size_t>(v) >> 6)] |=
-        std::uint64_t{1} << (static_cast<std::size_t>(v) & 63);
+    const std::size_t i =
+        static_cast<std::size_t>(column) * words_per_column +
+        (static_cast<std::size_t>(v) >> 6);
+    words[i] |= std::uint64_t{1} << (static_cast<std::size_t>(v) & 63);
+    summary[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
 };
+static_assert(alignof(AtomicFoldLane) == 64 && sizeof(AtomicFoldLane) % 64 == 0,
+              "fold lanes must not share a cache line");
+
+/// Visits every (column, vertex) marked in any of `lanes` once, in
+/// ascending (column, vertex) order, and clears the marks as it goes:
+/// fn(column, v). Walks the ORed summary bits, so only marked words are
+/// read. All lanes must have been reset to the same shape. Single-threaded
+/// (post-barrier).
+template <typename Fn>
+void for_each_marked(std::span<AtomicFoldLane> lanes, Fn&& fn) {
+  if (lanes.empty()) return;
+  const std::size_t wpc = lanes.front().words_per_column;
+  const std::size_t summary_words = lanes.front().summary.size();
+  for (std::size_t si = 0; si < summary_words; ++si) {
+    std::uint64_t dirty = 0;
+    for (AtomicFoldLane& lane : lanes) {
+      dirty |= lane.summary[si];
+      lane.summary[si] = 0;
+    }
+    while (dirty) {
+      const std::size_t i =
+          si * 64 + static_cast<std::size_t>(std::countr_zero(dirty));
+      dirty &= dirty - 1;
+      std::uint64_t word = 0;
+      for (AtomicFoldLane& lane : lanes) {
+        word |= lane.words[i];
+        lane.words[i] = 0;
+      }
+      const int column = static_cast<int>(i / wpc);
+      const std::size_t base = (i % wpc) * 64;
+      while (word) {
+        const auto v = static_cast<graph::VertexId>(
+            base + static_cast<std::size_t>(std::countr_zero(word)));
+        word &= word - 1;
+        fn(column, v);
+      }
+    }
+  }
+}
 
 /// Decides, per Δ-send, between the two fold paths: a routed site's
 /// foldable payload folds into the shared pending slots and marks the

@@ -131,6 +131,7 @@ class DvRunner::Impl {
     init_compiler_fields();
     bind_params();
     compute_site_wires();
+    compute_site_edge_use();
 
     for (const AggSite& site : prog_.sites)
       has_channels_ = has_channels_ || site.is_channel();
@@ -382,8 +383,11 @@ class DvRunner::Impl {
         if (a.has) min_weight_lb_ = std::min(min_weight_lb_, a.new_weight);
     }
     deltas_applied_ = 0;
-    wake_.assign(new_n, 0);
+    // Clear the previous epoch's marks through its list: O(last frontier),
+    // not O(|V|). The bitmap only ever grows.
+    for (const graph::VertexId v : wake_list_) wake_[v] = 0;
     wake_list_.clear();
+    if (wake_.size() < new_n) wake_.resize(new_n, 0);
     for (const graph::VertexId v : delta.touched) mark_wake(v);
 
     // ---- Phase A (old topology): per touched sender × site, record what
@@ -411,10 +415,18 @@ class DvRunner::Impl {
         for (const AggSite& site : prog_.sites) {
           const auto [targets, weights] = push_targets(site, v);
           if (targets.empty()) continue;
-          auto& list = epoch_olds_[static_cast<std::size_t>(site.id)][ti];
+          const auto site_idx = static_cast<std::size_t>(site.id);
+          auto& list = epoch_olds_[site_idx][ti];
           list.reserve(targets.size());
+          if (weights.empty() || !folded_per_edge_[site_idx]) {
+            // Edge-invariant: one evaluation serves the whole span.
+            ctx.cur_edge_weight = weights.empty() ? 1.0 : weights.back();
+            const Value old = last_folded(site, ctx);
+            for (const graph::VertexId t : targets) list.emplace_back(t, old);
+            continue;
+          }
           for (std::size_t i = 0; i < targets.size(); ++i) {
-            ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[i];
+            ctx.cur_edge_weight = weights[i];
             list.emplace_back(targets[i], last_folded(site, ctx));
           }
         }
@@ -499,6 +511,23 @@ class DvRunner::Impl {
           const int rcol = retract_table_.empty()
                                ? -1
                                : retract_table_.route[site_idx];
+          // The sender's current value over an arc of weight `w`: computed
+          // once and reused for every target (and the re-memoization below)
+          // unless the send can read the edge weight.
+          const bool per_edge =
+              !weights.empty() && send_per_edge_[site_idx];
+          Value invariant_now;
+          bool have_invariant = false;
+          const auto current = [&](double w) {
+            if (have_invariant) return invariant_now;
+            ctx.cur_edge_weight = w;
+            const Value now = eval_root(original, ctx).coerce(site.elem_type);
+            if (!per_edge) {
+              invariant_now = now;
+              have_invariant = true;
+            }
+            return now;
+          };
           // Both lists are sorted by receiver: walk them together.
           std::size_t oi = 0, ni = 0;
           while (oi < old_list.size() || ni < targets.size()) {
@@ -511,9 +540,8 @@ class DvRunner::Impl {
               old = &old_list[oi++].second;
             } else {
               dst = targets[ni];
-              ctx.cur_edge_weight = weights.empty() ? 1.0 : weights[ni];
+              now = current(weights.empty() ? 1.0 : weights[ni]);
               ++ni;
-              now = eval_root(original, ctx).coerce(site.elem_type);
               if (oi < old_list.size() && old_list[oi].first == dst)
                 old = &old_list[oi++].second;
             }
@@ -533,9 +561,7 @@ class DvRunner::Impl {
           // Re-memoize what this sender's neighbors now believe its value
           // is, so the woken body's Δ against it is a no-op.
           if (site.bound_field >= 0 || site.last_sent_slot >= 0) {
-            ctx.cur_edge_weight = 1.0;
-            const Value now =
-                eval_root(original, ctx).coerce(site.elem_type);
+            const Value now = current(1.0);
             if (site.bound_field >= 0)
               ctx.fields[static_cast<std::size_t>(site.bound_field)] = now;
             if (site.last_sent_slot >= 0)
@@ -854,18 +880,18 @@ class DvRunner::Impl {
   }
 
  private:
-  /// Post-step drain of the lock-free fold path: ORs every lane's frontier
-  /// bitmap, applies each marked (vertex, site) pending slot into the
-  /// aggAccum field via the same apply_delta a buffered delivery runs, and
-  /// wakes the vertex. The application is UNCONDITIONAL — a marked slot
-  /// still holding identity bits corresponds to a buffered combined-to-
-  /// identity message, which is also applied and also wakes its receiver
-  /// (bit-exactness: −0.0 + 0.0 must land as +0.0 on both paths). Deleted
-  /// vertices get their slot reset but neither apply nor wake, mirroring
-  /// the engine's message drop. Runs single-threaded between supersteps;
-  /// `activate` selects engine wake-up (stepping) vs the epoch's wake_
-  /// frontier (apply_epoch marks wake_ at fold time already, so false
-  /// there).
+  /// Post-step drain of the lock-free fold path: walks every lane's
+  /// two-level frontier (for_each_marked), applies each marked (vertex,
+  /// site) pending slot into the aggAccum field via the same apply_delta a
+  /// buffered delivery runs, and wakes the vertex. The application is
+  /// UNCONDITIONAL — a marked slot still holding identity bits corresponds
+  /// to a buffered combined-to-identity message, which is also applied and
+  /// also wakes its receiver (bit-exactness: −0.0 + 0.0 must land as +0.0
+  /// on both paths). Deleted vertices get their slot reset but neither
+  /// apply nor wake, mirroring the engine's message drop. Runs
+  /// single-threaded between supersteps; `activate` selects engine wake-up
+  /// (stepping) vs the epoch's wake_ frontier (apply_epoch marks wake_ at
+  /// fold time already, so false there).
   void drain_atomic(bool activate) {
     if (atomic_table_.empty()) return;
     std::uint64_t folds = 0;
@@ -877,40 +903,23 @@ class DvRunner::Impl {
     atomic_folds_total_ += folds;
     if (obs::Collector* const col = obs::resolve(options_.collector))
       col->metrics.shard(0).add(obs::Counter::kAtomicFolds, folds);
-    const std::size_t wpc = atomic_lanes_.front().words_per_column;
-    for (std::size_t c = 0; c < atomic_table_.columns(); ++c) {
-      const AggSite& site =
-          prog_.sites[static_cast<std::size_t>(atomic_col_site_[c])];
-      for (std::size_t wi = 0; wi < wpc; ++wi) {
-        std::uint64_t word = 0;
-        for (AtomicFoldLane& lane : atomic_lanes_) {
-          const std::size_t idx = c * wpc + wi;
-          word |= lane.words[idx];
-          lane.words[idx] = 0;
-        }
-        while (word) {
-          const auto v = static_cast<graph::VertexId>(
-              wi * 64 +
-              static_cast<std::size_t>(std::countr_zero(word)));
-          word &= word - 1;
-          const Value pending =
-              atomic_table_.take(v, static_cast<int>(c));
-          if (engine_->is_deleted(v)) continue;
-          AccumRef ref;
-          ref.acc =
-              &fields_of(v)[static_cast<std::size_t>(site.acc_slot)];
-          apply_delta(site.op, site.elem_type, ref, pending, 0, 0);
-          if (activate) engine_->activate(v);
-        }
-      }
-    }
+    for_each_marked(atomic_lanes_, [&](int c, graph::VertexId v) {
+      const Value pending = atomic_table_.take(v, c);
+      if (engine_->is_deleted(v)) return;
+      const AggSite& site = prog_.sites[static_cast<std::size_t>(
+          atomic_col_site_[static_cast<std::size_t>(c)])];
+      AccumRef ref;
+      ref.acc = &fields_of(v)[static_cast<std::size_t>(site.acc_slot)];
+      apply_delta(site.op, site.elem_type, ref, pending, 0, 0);
+      if (activate) engine_->activate(v);
+    });
   }
 
   /// Post-step drain of the retraction-memo records (DESIGN.md §11).
-  /// Gathers every lane's records, applies them in canonical (dst, col,
-  /// sender) order — deterministic across schedules and bit-identical
-  /// across tiers — and rewrites accumulators from the memo where the
-  /// extremum may have risen. In step mode (`activate`) only kWorsened
+  /// Gathers every lane's records (RetractDrainOrder), applies them in
+  /// canonical (dst, col, sender) order — deterministic across schedules
+  /// and bit-identical across tiers — and rewrites accumulators from the
+  /// memo where the extremum may have risen. In step mode (`activate`) only kWorsened
   /// cells are rewritten: improvements already arrived through the normal
   /// fold paths, and rewriting them too would trade bit patterns between
   /// paths for no information. In epoch mode every touched cell is
@@ -921,19 +930,9 @@ class DvRunner::Impl {
   void drain_retract(bool activate) {
     if (retract_table_.empty()) return;
     retract_changes_last_step_ = 0;
-    retract_scratch_.clear();
-    for (RetractLane& lane : memo_lanes_) {
-      retract_scratch_.insert(retract_scratch_.end(), lane.records.begin(),
-                              lane.records.end());
-      lane.records.clear();
-    }
+    retract_order_.gather(memo_lanes_, retract_table_.columns(),
+                          retract_table_.counts.size(), retract_scratch_);
     if (retract_scratch_.empty()) return;
-    std::stable_sort(retract_scratch_.begin(), retract_scratch_.end(),
-                     [](const RetractRecord& a, const RetractRecord& b) {
-                       if (a.dst != b.dst) return a.dst < b.dst;
-                       if (a.col != b.col) return a.col < b.col;
-                       return a.sender < b.sender;
-                     });
     std::uint64_t retractions = 0, refolds = 0, underflows = 0;
     std::size_t i = 0;
     while (i < retract_scratch_.size()) {
@@ -1233,6 +1232,23 @@ class DvRunner::Impl {
     }
   }
 
+  /// Fills send_per_edge_ and folded_per_edge_: whether a site's send, or
+  /// what its receivers last folded, can differ from arc to arc.
+  void compute_site_edge_use() {
+    for (const AggSite& site : prog_.sites) {
+      if (site.is_channel()) {
+        send_per_edge_.push_back(0);
+        folded_per_edge_.push_back(0);
+        continue;
+      }
+      const Expr& original =
+          site.init_send_expr ? *site.init_send_expr : *site.send_expr;
+      send_per_edge_.push_back(uses_edge_weight(original));
+      folded_per_edge_.push_back(site.last_sent_slot < 0 &&
+                                 uses_edge_weight(*site.send_expr));
+    }
+  }
+
   EvalContext make_ctx(int worker) {
     EvalContext ctx;
     ctx.prog = &prog_;
@@ -1291,7 +1307,8 @@ class DvRunner::Impl {
       Value bound{};
       bool bound_set = false;
       if (!targets.empty() &&
-          (weights.empty() || !uses_edge_weight(expr))) {
+          (weights.empty() ||
+           !send_per_edge_[static_cast<std::size_t>(site.id)])) {
         // Edge-invariant payload (the common case — PageRank/HITS seed
         // their rank over the whole span): evaluate once, broadcast or
         // skip once. Purity makes this message-identical to the per-edge
@@ -1671,6 +1688,12 @@ class DvRunner::Impl {
   std::vector<Value> params_;
   std::vector<Value> scratch_defaults_;
   std::vector<std::uint8_t> site_wire_;
+  // Per site.id, from uses_edge_weight: can the original send expression
+  // (send_per_edge_) or last_folded (folded_per_edge_) vary across a
+  // sender's target span? When not, the epoch path and push_first
+  // evaluate it once per (sender, site) instead of once per arc.
+  std::vector<std::uint8_t> send_per_edge_;
+  std::vector<std::uint8_t> folded_per_edge_;
   std::vector<std::vector<Value>> worker_scratch_;
   std::unique_ptr<DvEngine> engine_;
   std::unique_ptr<Vm> vm_;  // null on the tree and native tiers
@@ -1724,6 +1747,7 @@ class DvRunner::Impl {
   RetractMemoTable retract_table_;
   std::vector<RetractLane> memo_lanes_;
   std::vector<RetractRecord> retract_scratch_;
+  RetractDrainOrder retract_order_;
   std::vector<RetractEntry> refold_scratch_;
   std::uint64_t record_sites_ = 0;  // memo-routed sites, as a site bitmask
   bool memo_edge_feedback_ = false;

@@ -1,5 +1,6 @@
 #include "dv/streaming/retract/retract_memo.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -199,6 +200,54 @@ void RetractMemoTable::rebuild(graph::VertexId dst, int c,
     worst_kept = e[worst(c, e, count)].bits;
   }
   bounds[cell] = evicted ? worst_kept : id;
+}
+
+void RetractDrainOrder::gather(std::span<RetractLane> lanes,
+                               std::size_t columns, std::size_t cells,
+                               std::vector<RetractRecord>& out) {
+  out.clear();
+  if (cursor_.size() < cells) cursor_.resize(cells, 0);
+  const auto cell_of = [columns](const RetractRecord& r) {
+    return static_cast<std::size_t>(r.dst) * columns + r.col;
+  };
+  // Count each cell's records, noting every cell on its first record.
+  cells_.clear();
+  std::size_t total = 0;
+  for (const RetractLane& lane : lanes) {
+    total += lane.records.size();
+    for (const RetractRecord& r : lane.records) {
+      std::uint32_t& c = cursor_[cell_of(r)];
+      if (c++ == 0) cells_.push_back(cell_of(r));
+    }
+  }
+  if (total == 0) return;
+  // Cell index order is (dst, col) order. Turn counts into bucket starts.
+  std::sort(cells_.begin(), cells_.end());
+  std::uint32_t start = 0;
+  for (const std::uint64_t cell : cells_) {
+    const std::uint32_t count = cursor_[cell];
+    cursor_[cell] = start;
+    start += count;
+  }
+  // Scatter in arrival order; each cursor ends at its bucket's end.
+  out.resize(total);
+  for (RetractLane& lane : lanes) {
+    for (const RetractRecord& r : lane.records) out[cursor_[cell_of(r)]++] = r;
+    lane.records.clear();
+  }
+  // Order each bucket by sender, stably (arrival breaks ties), and zero
+  // its cursor for the next gather.
+  const auto by_sender = [](const RetractRecord& a, const RetractRecord& b) {
+    return a.sender < b.sender;
+  };
+  std::size_t begin = 0;
+  for (const std::uint64_t cell : cells_) {
+    const std::size_t end = cursor_[cell];
+    cursor_[cell] = 0;
+    std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+                     out.begin() + static_cast<std::ptrdiff_t>(end), by_sender);
+    begin = end;
+  }
 }
 
 }  // namespace deltav::dv

@@ -64,14 +64,42 @@ struct RetractRecord {
 };
 
 /// Per-worker-lane record buffer. Single-writer during a superstep; the
-/// runner gathers and canonically sorts all lanes post-barrier.
-struct RetractLane {
+/// runner gathers all lanes in canonical order post-barrier
+/// (RetractDrainOrder). Aligned to a cache line so workers appending to
+/// neighbouring lanes do not false-share.
+struct alignas(64) RetractLane {
   std::vector<RetractRecord> records;
 
   void record(graph::VertexId dst, std::uint32_t sender, int col,
               std::uint64_t bits) {
     records.push_back({dst, sender, static_cast<std::uint32_t>(col), bits});
   }
+};
+static_assert(alignof(RetractLane) == 64 && sizeof(RetractLane) % 64 == 0,
+              "record lanes must not share a cache line");
+
+/// Gathers one superstep's records from every lane in the drain's
+/// canonical order: ascending (dst, col) cell, then (sender, arrival)
+/// within a cell, where arrival is lane-major. That is the order a stable
+/// sort of the concatenated lanes by (dst, col, sender) gives, but the
+/// whole list is never sorted: records are bucketed by cell through a
+/// per-cell counter, only the distinct cells are sorted, and each cell's
+/// bucket is stable-sorted by sender. Every counter is back at
+/// zero when gather returns, so a gather costs O(records + d log d) for
+/// d distinct cells, independent of |V|.
+class RetractDrainOrder {
+ public:
+  /// Moves every lane's records into `out` (cleared first) in canonical
+  /// order and empties the lanes. `columns` is the memo table's column
+  /// count; `cells` its cell count (vertices × columns).
+  void gather(std::span<RetractLane> lanes, std::size_t columns,
+              std::size_t cells, std::vector<RetractRecord>& out);
+
+ private:
+  // Per cell: 0 between gathers; a record count, then a bucket cursor,
+  // during one.
+  std::vector<std::uint32_t> cursor_;
+  std::vector<std::uint64_t> cells_;  // distinct cells of this gather
 };
 
 /// The memo table: k-entry tournament buffers for every (vertex, routed

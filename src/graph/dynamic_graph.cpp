@@ -165,6 +165,10 @@ std::size_t DynamicGraph::ensure_overlay(VertexId v, bool out_dir) {
   auto& targets_ov = out_dir ? out_targets_ov_ : in_targets_ov_;
   auto& weights_ov = out_dir ? out_weights_ov_ : in_weights_ov_;
   const std::size_t slot = targets_ov.size();
+  // First slot of v in either direction: the other table is unused on an
+  // undirected graph, and on a directed one it still reads the base.
+  const std::vector<std::int32_t>& other = out_dir ? in_slot_ : out_slot_;
+  if (!directed() || other[v] < 0) ++overlay_vertices_;
   if (in_base(v)) {
     const auto ts = out_dir ? base_.out_neighbors(v) : base_.in_neighbors(v);
     targets_ov.emplace_back(ts.begin(), ts.end());
@@ -232,12 +236,12 @@ void DynamicGraph::commit(const GraphDelta& delta) {
   }
 }
 
-std::size_t DynamicGraph::overlay_vertices() const {
-  std::size_t count = 0;
+void DynamicGraph::recount_overlay() {
+  overlay_vertices_ = 0;
   for (std::size_t v = 0; v < n_; ++v) {
-    if (out_slot_[v] >= 0 || (directed() && in_slot_[v] >= 0)) ++count;
+    if (out_slot_[v] >= 0 || (directed() && in_slot_[v] >= 0))
+      ++overlay_vertices_;
   }
-  return count;
 }
 
 CsrGraph DynamicGraph::materialize() const {
@@ -266,6 +270,7 @@ void DynamicGraph::compact() {
   out_weights_ov_.clear();
   in_targets_ov_.clear();
   in_weights_ov_.clear();
+  overlay_vertices_ = 0;
 }
 
 }  // namespace deltav::graph

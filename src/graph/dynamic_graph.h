@@ -162,13 +162,15 @@ class DynamicGraph {
   void commit(const GraphDelta& delta);
 
   /// Fraction of vertices whose adjacency lives in the overlay — the
-  /// caller's compaction trigger.
+  /// caller's compaction trigger. O(1): the count is kept as slots are
+  /// handed out, so the per-epoch check never scans the slot tables.
   double overlay_fraction() const {
     return n_ == 0 ? 0.0
-                   : static_cast<double>(overlay_vertices()) /
+                   : static_cast<double>(overlay_vertices_) /
                          static_cast<double>(n_);
   }
-  std::size_t overlay_vertices() const;
+  /// Vertices with an overlay slot in at least one direction.
+  std::size_t overlay_vertices() const { return overlay_vertices_; }
 
   /// Rebuilds the base CSR from the current topology and clears the
   /// overlay. Reads are unchanged before/after; only their cost moves.
@@ -194,6 +196,10 @@ class DynamicGraph {
 
   void apply_arc(const ArcChange& c, bool out_dir);
 
+  /// Recounts overlay_vertices_ from the slot tables: O(|V|), run once
+  /// when a snapshot is decoded (GraphCodec::read), never per epoch.
+  void recount_overlay();
+
   CsrGraph base_;
   std::size_t n_;
   EdgeIndex num_arcs_;
@@ -205,6 +211,9 @@ class DynamicGraph {
   std::vector<std::vector<double>> out_weights_ov_;  // aligned; empty if unweighted
   std::vector<std::vector<VertexId>> in_targets_ov_;
   std::vector<std::vector<double>> in_weights_ov_;
+  // Vertices owning an overlay slot in either direction: ensure_overlay
+  // counts a vertex's first slot, compact() zeroes the count.
+  std::size_t overlay_vertices_ = 0;
 };
 
 }  // namespace deltav::graph

@@ -19,11 +19,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "algorithms/connected_components.h"
-#include "dv/codegen/native_module.h"
 #include "dv/obs/obs.h"
 #include "dv/programs/programs.h"
 #include "dv/streaming/stream_session.h"
@@ -38,6 +38,7 @@ namespace {
 using dv::FoldPath;
 using dv::Value;
 using test::compile_dv;
+using test::runnable_tiers;
 using test::small_engine;
 
 /// Integer sum gossip: every vertex replaces its value with the sum of
@@ -426,15 +427,6 @@ TEST(AtomicFold, FoldPathFlagTakesAutoOrBuffered) {
 // every tier hands its sends to the same sink
 // ---------------------------------------------------------------------------
 
-/// The tiers the host can run: tree and VM always, native where the
-/// toolchain builds.
-std::vector<dv::ExecTier> runnable_tiers() {
-  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
-  if (dv::native::native_unavailable_reason().empty())
-    tiers.push_back(dv::ExecTier::kNative);
-  return tiers;
-}
-
 /// A metered run: the result plus its collector's counters.
 struct Metered {
   dv::DvRunResult result;
@@ -588,6 +580,66 @@ TEST(AtomicFold, CountersAgreeAcrossTiers) {
       EXPECT_EQ(m.metrics.counter("dv.atomic_folds"), m.result.atomic_folds);
       EXPECT_EQ(state_bits(m.result), state_bits(ref.result));
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// the two-level frontier drain
+// ---------------------------------------------------------------------------
+
+TEST(AtomicFold, DrainAppliesEachMarkedSlotOnceInColumnVertexOrder) {
+  // Three lanes fold int sums into three columns at the frontier's word
+  // and summary-word edges (0, 63, 64, 4095, n-1), overlapping across
+  // lanes, then the table and lanes grow and the drain runs again. Each
+  // drain must visit every marked (column, vertex) once, in ascending
+  // order, take exactly the folded sum, and leave no mark behind.
+  const std::size_t columns = 3;
+  dv::AtomicFoldTable table;
+  for (std::size_t c = 0; c < columns; ++c) {
+    table.ops.push_back(dv::AggOp::kSum);
+    table.types.push_back(dv::Type::kInt);
+    table.identity.push_back(0);
+  }
+  std::vector<dv::AtomicFoldLane> lanes(3);
+  for (const std::size_t n : {std::size_t{4096}, std::size_t{9001}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    table.reset(n);
+    for (dv::AtomicFoldLane& lane : lanes) lane.reset(n, columns);
+    const std::vector<graph::VertexId> edges = {
+        0, 63, 64, 4095, static_cast<graph::VertexId>(n - 1)};
+    std::map<std::pair<int, graph::VertexId>, std::int64_t> want;
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      for (std::size_t c = 0; c < columns; ++c) {
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+          if ((l + c + e) % 3 == 0) continue;  // not every lane marks all
+          const int col = static_cast<int>(c);
+          const auto payload = static_cast<std::int64_t>(1 + l + 10 * e);
+          table.fold(edges[e], col, Value::of_int(payload));
+          lanes[l].mark(edges[e], col);
+          lanes[l].mark(edges[e], col);  // a second mark is the same mark
+          want[{col, edges[e]}] += payload;
+        }
+      }
+    }
+    std::vector<std::pair<std::pair<int, graph::VertexId>, std::int64_t>>
+        got;
+    dv::for_each_marked(lanes, [&](int c, graph::VertexId v) {
+      got.push_back({{c, v}, table.take(v, c).as_i()});
+    });
+    // std::map iterates in ascending (column, vertex) order.
+    EXPECT_EQ(got, (std::vector<std::pair<std::pair<int, graph::VertexId>,
+                                          std::int64_t>>(want.begin(),
+                                                         want.end())));
+    for (const dv::AtomicFoldLane& lane : lanes) {
+      for (const std::uint64_t w : lane.words) ASSERT_EQ(w, 0u);
+      for (const std::uint64_t w : lane.summary) ASSERT_EQ(w, 0u);
+    }
+    for (const auto& [key, sum] : want)
+      EXPECT_EQ(table.take(key.second, key.first).as_i(), 0)
+          << "slot not reset to the identity";
+    std::size_t again = 0;
+    dv::for_each_marked(lanes, [&](int, graph::VertexId) { ++again; });
+    EXPECT_EQ(again, 0u);
   }
 }
 

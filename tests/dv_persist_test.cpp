@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "dv/codegen/native_module.h"
 #include "dv/obs/obs.h"
 #include "dv/persist/fault.h"
 #include "dv/persist/snapshot.h"
@@ -43,6 +42,7 @@ using dv::streaming::make_stream_session;
 using dv::testing::totals_diff;
 using graph::MutationBatch;
 using test::compile_dv;
+using test::runnable_tiers;
 using test::small_engine;
 
 SessionOptions session_opts(dv::ExecTier tier = dv::ExecTier::kVm) {
@@ -85,14 +85,6 @@ void expect_state_bits_equal(const dv::DvRunResult& got,
   for (std::size_t i = 0; i < want.state.size(); ++i)
     ASSERT_TRUE(bits_equal(got.state[i], want.state[i]))
         << context << ": state word " << i << " diverged";
-}
-
-/// Tree and VM, plus native where this host can build it.
-std::vector<dv::ExecTier> all_tiers() {
-  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
-  if (dv::native::native_unavailable_reason().empty())
-    tiers.push_back(dv::ExecTier::kNative);
-  return tiers;
 }
 
 void expect_epoch_equal(const SessionEpoch& got, const SessionEpoch& want,
@@ -317,7 +309,7 @@ TEST(PersistResume, MidConvergeResumeMatchesUninterrupted) {
   ASSERT_GE(mid.size(), 3u) << "expected several mid-run checkpoints";
 
   // Every checkpoint resumes on every tier (the VM wrote them all).
-  for (const dv::ExecTier tier : all_tiers())
+  for (const dv::ExecTier tier : runnable_tiers())
     for (std::size_t i = 0; i < mid.size(); ++i) {
       const std::string who = std::string(dv::exec_tier_name(tier)) +
                               ", mid-run checkpoint " + std::to_string(i);

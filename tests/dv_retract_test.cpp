@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "dv/codegen/native_module.h"
 #include "dv/obs/obs.h"
 #include "dv/persist/snapshot.h"
 #include "dv/programs/programs.h"
@@ -42,6 +41,7 @@ using dv::streaming::SessionEpoch;
 using dv::streaming::SessionOptions;
 using graph::MutationBatch;
 using test::compile_dv;
+using test::runnable_tiers;
 using test::small_engine;
 
 std::uint64_t fbits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -185,14 +185,6 @@ dv::DvRunResult oracle(const dv::CompiledProgram& cp,
   o.engine = small_engine();
   o.params = params;
   return dv::run_program(cp, s.graph().materialize(), o);
-}
-
-/// Tree and VM always; native too where the host can build it.
-std::vector<dv::ExecTier> memo_tiers() {
-  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
-  if (dv::native::native_unavailable_reason().empty())
-    tiers.push_back(dv::ExecTier::kNative);
-  return tiers;
 }
 
 /// A memo session runs on the tier it asked for: native no longer falls
@@ -359,7 +351,7 @@ void run_cut_stream(const dv::CompiledProgram& cp, dv::ExecTier tier,
 
 TEST(RetractStream, CutOffSuffixMatchesColdOracleOnEveryTier) {
   const auto cp = compile_dv(dv::programs::kSsspRetract);
-  for (const dv::ExecTier tier : memo_tiers()) {
+  for (const dv::ExecTier tier : runnable_tiers()) {
     SCOPED_TRACE(dv::exec_tier_name(tier));
     run_cut_stream(cp, tier, dv::FoldPath::kAuto, nullptr);
   }
@@ -374,7 +366,7 @@ TEST(RetractStream, MemoCountersAgreeAcrossTiers) {
        {dv::FoldPath::kAuto, dv::FoldPath::kBuffered}) {
     SCOPED_TRACE(fold == dv::FoldPath::kAuto ? "auto" : "buffered");
     std::vector<std::uint64_t> want;
-    for (const dv::ExecTier tier : memo_tiers()) {
+    for (const dv::ExecTier tier : runnable_tiers()) {
       SCOPED_TRACE(dv::exec_tier_name(tier));
       obs::Collector col;
       run_cut_stream(cp, tier, fold, &col);
@@ -400,7 +392,7 @@ TEST(RetractSnapshot, RoundTripAndCrossTierRestore) {
   const auto cp = compile_dv(kMinPublishFloat);
   MutationBatch b2;
   b2.remove_edge(1, 5);
-  for (const dv::ExecTier from : memo_tiers()) {
+  for (const dv::ExecTier from : runnable_tiers()) {
     SCOPED_TRACE(std::string("saved on ") + dv::exec_tier_name(from));
     DvStreamSession s(cp, fan_graph(), opts(/*memo_k=*/2, from));
     s.converge();
@@ -418,7 +410,7 @@ TEST(RetractSnapshot, RoundTripAndCrossTierRestore) {
     // Same-tier and cross-tier restores: the next deletion must take the
     // same warm path and land bit-exact with the uninterrupted session —
     // tiers are bit-identical by contract, memo included.
-    for (const dv::ExecTier to : memo_tiers()) {
+    for (const dv::ExecTier to : runnable_tiers()) {
       SCOPED_TRACE(std::string("restored on ") + dv::exec_tier_name(to));
       auto r = DvStreamSession::restore_bytes(cp, snap, opts(2, to));
       expect_tier(r->result(), to);

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "dv/codegen/native_module.h"
 #include "dv/persist/snapshot.h"
 #include "dv/programs/programs.h"
 #include "dv/serve/protocol.h"
@@ -63,6 +62,7 @@ using dv::serve::SessionHost;
 using dv::streaming::BatchLineParser;
 using graph::MutationBatch;
 using test::compile_dv;
+using test::runnable_tiers;
 using test::small_engine;
 
 HostOptions host_opts(dv::ExecTier tier = dv::ExecTier::kVm) {
@@ -421,14 +421,6 @@ struct ServedPair {
   SessionHost host;
 };
 
-/// Tiers to serve on: tree and VM always, native where it builds.
-std::vector<dv::ExecTier> serve_tiers() {
-  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
-  if (dv::native::native_unavailable_reason().empty())
-    tiers.push_back(dv::ExecTier::kNative);
-  return tiers;
-}
-
 graph::CsrGraph undirected_rmat(std::size_t n, std::uint64_t seed) {
   graph::RmatOptions ro;
   ro.directed = false;
@@ -436,7 +428,7 @@ graph::CsrGraph undirected_rmat(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(ViewPublication, PatchedViewMatchesSessionAcrossWarmEpochsAndGrowth) {
-  for (const dv::ExecTier tier : serve_tiers()) {
+  for (const dv::ExecTier tier : runnable_tiers()) {
     SCOPED_TRACE(dv::exec_tier_name(tier));
     ServedPair p(dv::programs::kConnectedComponents, undirected_rmat(64, 5),
                  host_opts(tier));
@@ -488,7 +480,7 @@ HostOptions sssp_opts(dv::ExecTier tier) {
 }
 
 TEST(ViewPublication, PatchedViewMatchesSessionAcrossRetractions) {
-  for (const dv::ExecTier tier : serve_tiers()) {
+  for (const dv::ExecTier tier : runnable_tiers()) {
     SCOPED_TRACE(dv::exec_tier_name(tier));
     ServedPair p(dv::programs::kSsspRetract, weighted_chain(24),
                  sssp_opts(tier));
@@ -507,7 +499,7 @@ TEST(ViewPublication, PatchedViewMatchesSessionAcrossRetractions) {
 }
 
 TEST(ViewPublication, ColdEpochsBuildTheViewInFull) {
-  for (const dv::ExecTier tier : serve_tiers()) {
+  for (const dv::ExecTier tier : runnable_tiers()) {
     SCOPED_TRACE(dv::exec_tier_name(tier));
     HostOptions o = host_opts(tier);
     o.session.force_cold = true;
@@ -536,7 +528,7 @@ TEST(ViewPublication, WarmAbortFallsBackToAFullBuild) {
   b.add_edge(2, 1, 1.0);
   b.add_edge(2, 3, 1.0);
   const graph::CsrGraph g = b.build();
-  for (const dv::ExecTier tier : serve_tiers()) {
+  for (const dv::ExecTier tier : runnable_tiers()) {
     SCOPED_TRACE(dv::exec_tier_name(tier));
     ServedPair p(dv::programs::kSsspRetract, g, sssp_opts(tier));
     MutationBatch ins;
@@ -561,7 +553,7 @@ TEST(ViewPublication, WarmAbortFallsBackToAFullBuild) {
 }
 
 TEST(ViewPublication, RestoredHostPatchesAfterTwoFullBuilds) {
-  for (const dv::ExecTier tier : serve_tiers()) {
+  for (const dv::ExecTier tier : runnable_tiers()) {
     SCOPED_TRACE(dv::exec_tier_name(tier));
     std::vector<std::uint8_t> bytes;
     {

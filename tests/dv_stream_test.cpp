@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "dv/persist/graph_codec.h"
 #include "dv/programs/programs.h"
 #include "dv/streaming/mutation_io.h"
 #include "dv/streaming/stream_session.h"
@@ -31,6 +34,7 @@ using dv::streaming::SessionEpoch;
 using dv::streaming::SessionOptions;
 using graph::MutationBatch;
 using test::compile_dv;
+using test::runnable_tiers;
 using test::small_engine;
 
 SessionOptions session_opts(dv::ExecTier tier = dv::ExecTier::kVm) {
@@ -656,6 +660,273 @@ TEST(MutationIo, NonNumericWeightRejected) {
       EXPECT_NE(what.find("line 1"), std::string::npos) << what;
       EXPECT_NE(what.find("numeric weight"), std::string::npos) << what;
     }
+  }
+}
+
+// ------------------------------------------------------ overlay count
+//
+// DynamicGraph keeps its overlay vertex count as slots are handed out, so
+// the session's per-epoch compaction check is O(1). The model: a vertex
+// owns an overlay slot exactly when it is an endpoint of an ArcChange
+// committed since the last compaction (the arc lands in its out-list, or
+// in its in-list, or in its mirrored undirected list).
+
+struct OverlayModel {
+  std::set<graph::VertexId> owners;
+
+  void commit(const graph::GraphDelta& d) {
+    for (const graph::ArcChange& a : d.arcs) {
+      owners.insert(a.src);
+      owners.insert(a.dst);
+    }
+  }
+};
+
+/// A random batch over the current graph: inserts (self-loops, present
+/// edges and weight rewrites included), deletes of present and absent
+/// edges, and now and then added vertices (wired in) and a detachment.
+MutationBatch random_overlay_batch(const graph::DynamicGraph& g, Rng& rng) {
+  MutationBatch b;
+  const std::size_t n = g.num_vertices();
+  if (rng.next_bool(0.2)) b.add_vertices = 1 + rng.next_below(2);
+  const std::size_t new_n = n + b.add_vertices;
+  const auto any = [&](std::size_t bound) {
+    return static_cast<graph::VertexId>(rng.next_below(bound));
+  };
+  const std::size_t ops = 1 + rng.next_below(4);
+  for (std::size_t k = 0; k < ops; ++k) {
+    if (rng.next_bool()) {
+      b.insert_edge(any(new_n), any(new_n), rng.next_double(1.0, 4.0));
+      continue;
+    }
+    const graph::VertexId u = any(n);
+    const auto outs = g.out_neighbors(u);
+    b.remove_edge(u, outs.empty() || rng.next_bool(0.25)
+                         ? any(n)
+                         : outs[rng.next_below(outs.size())]);
+  }
+  if (rng.next_bool(0.1)) b.detach_vertices.push_back(any(n));
+  return b;
+}
+
+/// Encodes `g` through GraphCodec and decodes it again (the decode
+/// recounts the overlay from the slot tables).
+graph::DynamicGraph codec_round_trip(const graph::DynamicGraph& g) {
+  dv::persist::SnapshotWriter w;
+  dv::persist::GraphCodec::write(g, w);
+  w.finish();
+  dv::persist::SnapshotReader r(w.bytes());
+  graph::DynamicGraph back = dv::persist::GraphCodec::read(r);
+  r.finish();
+  return back;
+}
+
+TEST(OverlayCount, MatchesModelAcrossCompactionsAndCodecRoundTrips) {
+  const std::uint64_t seed = test::effective_seed(2026);
+  Rng rng(seed);
+  for (const bool directed : {true, false}) {
+    for (const bool weighted : {true, false}) {
+      graph::RmatOptions ro;
+      ro.directed = directed;
+      ro.weighted = weighted;
+      graph::DynamicGraph g(graph::rmat(40, 120, rng.next_u64(), ro));
+      OverlayModel model;
+      for (int step = 0; step < 200; ++step) {
+        const graph::GraphDelta d = g.plan(random_overlay_batch(g, rng));
+        g.commit(d);
+        model.commit(d);
+        ASSERT_EQ(g.overlay_vertices(), model.owners.size())
+            << "directed=" << directed << " weighted=" << weighted
+            << " step " << step << " " << test::seed_banner(seed);
+        if (rng.next_bool(0.1)) {
+          g.compact();
+          model.owners.clear();
+        }
+        if (rng.next_bool(0.15)) {
+          g = codec_round_trip(g);
+          ASSERT_EQ(g.overlay_vertices(), model.owners.size())
+              << "after a codec round trip, step " << step << " "
+              << test::seed_banner(seed);
+        }
+        EXPECT_EQ(g.overlay_fraction(),
+                  static_cast<double>(model.owners.size()) /
+                      static_cast<double>(g.num_vertices()));
+      }
+    }
+  }
+}
+
+TEST(OverlayCount, SessionCompactsExactlyAtTheModelsThresholdCrossings) {
+  const auto cp = compile_dv(kSumPublish);
+  const std::uint64_t seed = test::effective_seed(2027);
+  Rng rng(seed);
+  auto opts = session_opts();
+  opts.compact_threshold = 0.25;
+  DvStreamSession s(cp, test::small_directed(5), opts);
+  s.converge();
+  OverlayModel model;
+  std::size_t compactions = 0;
+  for (int epoch = 0; epoch < 300; ++epoch) {
+    const MutationBatch b = random_overlay_batch(s.graph(), rng);
+    const graph::GraphDelta d = s.graph().plan(b);
+    model.commit(d);
+    // An epoch whose batch nets out to nothing returns before the check.
+    const bool crossed =
+        !d.empty() && static_cast<double>(model.owners.size()) /
+                              static_cast<double>(d.new_num_vertices) >
+                          opts.compact_threshold;
+    const SessionEpoch ep = s.apply(b);
+    ASSERT_EQ(ep.compacted, crossed)
+        << "epoch " << ep.epoch << " " << test::seed_banner(seed);
+    if (crossed) {
+      model.owners.clear();
+      ++compactions;
+    }
+    ASSERT_EQ(s.graph().overlay_vertices(), model.owners.size())
+        << "epoch " << ep.epoch << " " << test::seed_banner(seed);
+  }
+  EXPECT_GT(compactions, 3u);  // the stream did cross the threshold
+  expect_state_matches(s.result(), oracle(cp, s));
+}
+
+// --------------------------------------------- edge-invariant sends
+//
+// The epoch path (Phase A/B) and the first push evaluate a send once per
+// (sender, site) when it cannot read the edge weight, and once per arc
+// when it can. Both shapes stream over weighted graphs here, on every
+// tier, and every epoch must equal a cold run.
+
+struct HoistStream {
+  std::map<std::string, dv::Value> params;
+  bool deletions = false;  // batches also remove and reweight edges
+  bool grow = false;       // every fourth batch adds a wired-in vertex
+  bool all_warm = true;    // every epoch must resume warm
+  double tol = 1e-9;
+};
+
+/// Streams 12 random batches (weights in [1, 10)) through a session on
+/// `tier` and checks every epoch against the cold oracle.
+void stream_against_oracle(const dv::CompiledProgram& cp,
+                           const graph::CsrGraph& base, dv::ExecTier tier,
+                           const HoistStream& hs, std::uint64_t seed) {
+  SCOPED_TRACE(std::string("tier ") + dv::exec_tier_name(tier) + " " +
+               test::seed_banner(seed));
+  Rng rng(seed);
+  SessionOptions opts = session_opts(tier);
+  opts.run.params = hs.params;
+  DvStreamSession s(cp, base, opts);
+  s.converge();
+  dv::DvRunOptions run;
+  run.params = hs.params;
+  expect_state_matches(s.result(), oracle(cp, s, run), hs.tol);
+  std::size_t warm = 0;
+  const int batches = 12;
+  for (int batch = 0; batch < batches; ++batch) {
+    const std::size_t n = s.graph().num_vertices();
+    const auto any = [&](std::size_t bound) {
+      return static_cast<graph::VertexId>(rng.next_below(bound));
+    };
+    MutationBatch b;
+    if (hs.grow && batch % 4 == 3) {
+      b.add_vertices = 1;
+      b.insert_edge(any(n), static_cast<graph::VertexId>(n),
+                    rng.next_double(1.0, 10.0));
+      b.insert_edge(static_cast<graph::VertexId>(n), any(n),
+                    rng.next_double(1.0, 10.0));
+    }
+    for (int k = 0; k < 4; ++k) {
+      const graph::VertexId u = any(n);
+      const graph::VertexId v = any(n);
+      // Without deletions a batch only adds arcs: rewriting a present
+      // arc's weight is a retraction too.
+      if (!hs.deletions && s.graph().has_arc(u, v)) continue;
+      b.insert_edge(u, v, rng.next_double(1.0, 10.0));
+    }
+    if (hs.deletions) {
+      for (int k = 0; k < 3; ++k) {
+        const graph::VertexId u = any(n);
+        const auto outs = s.graph().out_neighbors(u);
+        if (!outs.empty())
+          b.remove_edge(u, outs[rng.next_below(outs.size())]);
+      }
+    }
+    const SessionEpoch ep = s.apply(b);
+    if (ep.warm) ++warm;
+    if (hs.all_warm) {
+      EXPECT_TRUE(ep.warm) << "epoch " << ep.epoch << " blocked: "
+                           << (ep.blocker ? ep.blocker : "?");
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        expect_state_matches(s.result(), oracle(cp, s, run), hs.tol))
+        << "epoch " << ep.epoch;
+    EXPECT_EQ(s.result().tier_used, tier) << s.result().native_fallback;
+  }
+  EXPECT_GT(warm, 0u);
+}
+
+/// A weighted R-MAT graph, weights in [1, 10).
+graph::CsrGraph weighted_rmat(bool directed, std::uint64_t seed) {
+  graph::RmatOptions o;
+  o.directed = directed;
+  o.weighted = true;
+  return graph::rmat(48, 192, test::effective_seed(seed), o);
+}
+
+/// ε-PageRank as bench_stream runs it: the ε-gated last-sent slot feeds
+/// Phase A, and the send `u.rank` never reads the edge.
+constexpr const char* kPageRankEps = R"(
+init { local rank : float = 1.0 };
+iter i {
+  let s : float = + [ u.rank | u <- #in ] in
+  rank = 0.15 + 0.85 * (s / graphSize)
+} until { stable }
+)";
+
+TEST(StreamHoist, EdgeInvariantSendsMatchColdOracleOnEveryTier) {
+  const auto cc = compile_dv(dv::programs::kConnectedComponents);
+  dv::CompileOptions eps;
+  eps.epsilon = 1e-10;
+  const auto pr = dv::compile(kPageRankEps, eps);
+  HoistStream cc_stream;
+  cc_stream.grow = true;
+  HoistStream pr_stream;
+  pr_stream.deletions = true;
+  pr_stream.tol = 1e-6;
+  for (const dv::ExecTier tier : runnable_tiers()) {
+    stream_against_oracle(cc, weighted_rmat(false, 31), tier, cc_stream,
+                          test::effective_seed(32));
+    stream_against_oracle(pr, weighted_rmat(true, 33), tier, pr_stream,
+                          test::effective_seed(34));
+  }
+}
+
+TEST(StreamHoist, PerEdgeSendsMatchColdOracleOnEveryTier) {
+  // `u.mass * u.edge` and `u.dist + u.edge`: one evaluation per arc, in
+  // the first push, in Phase A and in Phase B alike. The sum retracts what
+  // Phase A captured, so it takes deletions and reweights. The guarded
+  // SSSP takes insert-only batches (its min cannot retract); the
+  // unguarded form takes deletions through the retraction memo.
+  const auto sum = compile_dv(kSumWeighted);
+  HoistStream sum_stream;
+  sum_stream.deletions = true;
+  sum_stream.grow = true;
+  sum_stream.tol = 1e-6;
+  const auto sssp = compile_dv(dv::programs::kSssp);
+  const auto sssp_del = compile_dv(dv::programs::kSsspRetract);
+  HoistStream ins;
+  ins.params = {{"source", dv::Value::of_int(0)}};
+  ins.grow = true;
+  HoistStream del = ins;
+  del.grow = false;
+  del.deletions = true;
+  del.all_warm = false;  // a severed source path may fall back cold
+  for (const dv::ExecTier tier : runnable_tiers()) {
+    stream_against_oracle(sum, weighted_rmat(true, 39), tier, sum_stream,
+                          test::effective_seed(40));
+    stream_against_oracle(sssp, weighted_rmat(true, 35), tier, ins,
+                          test::effective_seed(36));
+    stream_against_oracle(sssp_del, weighted_rmat(true, 37), tier, del,
+                          test::effective_seed(38));
   }
 }
 

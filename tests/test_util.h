@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dv/codegen/native_module.h"
 #include "dv/compiler.h"
 #include "dv/runtime/runner.h"
 #include "graph/csr_graph.h"
@@ -50,6 +51,15 @@ inline pregel::EngineOptions small_engine(int workers = 3) {
   o.cluster.machines = 2;
   o.cluster.workers_per_machine = 2;
   return o;
+}
+
+/// The tiers this host can run: tree and VM always, native where the
+/// toolchain builds it.
+inline std::vector<dv::ExecTier> runnable_tiers() {
+  std::vector<dv::ExecTier> tiers = {dv::ExecTier::kTree, dv::ExecTier::kVm};
+  if (dv::native::native_unavailable_reason().empty())
+    tiers.push_back(dv::ExecTier::kNative);
+  return tiers;
 }
 
 /// Compiles with defaults (ΔV) or as ΔV*.
