@@ -147,7 +147,8 @@ int main(int argc, char** argv) {
       std::cerr << "dvc: " << w << "\n";
 
     if (emit == "native") {
-      const dv::native::NativeUnit unit = dv::native::emit_native_unit(cp);
+      const dv::native::NativeUnit unit =
+          dv::native::emit_native_unit(cp, dv::lower_program(cp));
       DV_CHECK_MSG(unit.unsupported.empty(),
                    "no native unit: " << unit.unsupported);
       std::cout << unit.source;

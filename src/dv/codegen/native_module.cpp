@@ -165,9 +165,9 @@ struct LoadResult {
 };
 
 /// dlopens and validates one object: entry symbol present, ABI version
-/// matches, root count matches, embedded digest matches the cache key.
+/// matches, chunk count matches, embedded digest matches the cache key.
 LoadResult load_object(const fs::path& so_path, const std::string& digest,
-                       std::size_t expect_roots) {
+                       std::size_t expect_chunks) {
   LoadResult r;
   void* handle = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!handle) {
@@ -188,9 +188,9 @@ LoadResult load_object(const fs::path& so_path, const std::string& digest,
     r.error = "ABI version mismatch";
     return r;
   }
-  if (vt->num_roots != expect_roots || !vt->roots) {
+  if (vt->num_chunks != expect_chunks || !vt->chunks) {
     dlclose(handle);
-    r.error = "root table mismatch";
+    r.error = "chunk table mismatch";
     return r;
   }
   if (!vt->source_digest || digest != vt->source_digest) {
@@ -198,10 +198,10 @@ LoadResult load_object(const fs::path& so_path, const std::string& digest,
     r.error = "embedded digest mismatch";
     return r;
   }
-  for (std::uint32_t i = 0; i < vt->num_roots; ++i) {
-    if (!vt->roots[i]) {
+  for (std::uint32_t i = 0; i < vt->num_chunks; ++i) {
+    if (!vt->chunks[i]) {
       dlclose(handle);
-      r.error = "null root function";
+      r.error = "null chunk function";
       return r;
     }
   }
@@ -290,15 +290,7 @@ NativeModule::~NativeModule() {
   if (handle_) dlclose(handle_);
 }
 
-NativeProgram::NativeProgram(std::shared_ptr<const NativeModule> mod,
-                             const std::vector<const Expr*>& roots)
-    : mod_(std::move(mod)) {
-  roots_.reserve(roots.size());
-  for (std::size_t i = 0; i < roots.size(); ++i)
-    roots_.emplace(roots[i], static_cast<int>(i));
-}
-
-Value NativeProgram::run_root(int idx, EvalContext& ctx) const {
+Value NativeProgram::run(int chunk, EvalContext& ctx) const {
   DvnCtx c;
   c.fields = reinterpret_cast<DvnValue*>(ctx.fields.data());
   c.scratch = reinterpret_cast<DvnValue*>(ctx.scratch.data());
@@ -325,7 +317,7 @@ Value NativeProgram::run_root(int idx, EvalContext& ctx) const {
   c.obs_add = &t_obs_add;
 
   DvnValue ret;
-  mod_->vtable()->roots[static_cast<std::size_t>(idx)](&c, &ret);
+  mod_->vtable()->chunks[static_cast<std::size_t>(chunk)](&c, &ret);
 
   ctx.halt_requested = c.halt_requested != 0;
   ctx.any_field_assign = c.any_field_assign != 0;
@@ -333,14 +325,15 @@ Value NativeProgram::run_root(int idx, EvalContext& ctx) const {
   return *reinterpret_cast<Value*>(&ret);
 }
 
-NativeBuildReport build_native(const CompiledProgram& cp) {
+NativeBuildReport build_native(const CompiledProgram& cp,
+                               const VmProgram& vp) {
   NativeBuildReport report;
 
 #ifdef DV_NATIVE_SANITIZED
   report.reason = "sanitized_host";
   return report;
 #else
-  NativeUnit unit = emit_native_unit(cp);
+  NativeUnit unit = emit_native_unit(cp, vp);
   if (!unit.unsupported.empty()) {
     report.reason = "unsupported: " + unit.unsupported;
     return report;
@@ -367,8 +360,7 @@ NativeBuildReport build_native(const CompiledProgram& cp) {
   if (auto mod = registry_get(digest)) {
     report.cache_hit = true;
     report.object_path = mod->object_path();
-    report.program = std::make_shared<NativeProgram>(std::move(mod),
-                                                     unit.roots);
+    report.program = std::make_shared<NativeProgram>(std::move(mod));
     return report;
   }
 
@@ -411,7 +403,7 @@ NativeBuildReport build_native(const CompiledProgram& cp) {
   std::string load_error;
   LoadResult loaded;
   if (hit) {
-    loaded = load_object(so_path, digest, unit.roots.size());
+    loaded = load_object(so_path, digest, vp.chunks.size());
     if (!loaded.handle) {
       // Corrupt or stale cached object: drop it and recompile once.
       load_error = loaded.error;
@@ -427,7 +419,7 @@ NativeBuildReport build_native(const CompiledProgram& cp) {
         report.reason += " (after cache load failed: " + load_error + ")";
       return report;
     }
-    loaded = load_object(so_path, digest, unit.roots.size());
+    loaded = load_object(so_path, digest, vp.chunks.size());
     if (!loaded.handle) {
       report.reason = "load_failed: " + loaded.error;
       return report;
@@ -438,8 +430,7 @@ NativeBuildReport build_native(const CompiledProgram& cp) {
   auto mod = std::make_shared<const NativeModule>(
       loaded.handle, loaded.vt, digest, so_path.string());
   registry_put(digest, mod);
-  report.program =
-      std::make_shared<NativeProgram>(std::move(mod), unit.roots);
+  report.program = std::make_shared<NativeProgram>(std::move(mod));
   return report;
 #endif  // DV_NATIVE_SANITIZED
 }

@@ -1,6 +1,6 @@
 // Native-tier build pipeline: emitted translation unit → host compiler →
-// cached shared object → dlopen-ed vtable (native_abi.h) → per-program
-// root dispatch.
+// cached shared object → dlopen-ed vtable (native_abi.h) → per-chunk
+// dispatch.
 //
 // Cache contract: objects live under a content digest of (emitted source,
 // compiler identification, compile flags), so a repeat run of the same
@@ -8,7 +8,7 @@
 // compiler, while any change to the program, the compiler version, or the
 // flags (including DV_NATIVE_CXXFLAGS) compiles a fresh object. A cached
 // object that fails to load or validate (truncated, wrong ABI version,
-// wrong root count, wrong digest) is unlinked and recompiled once; if the
+// wrong chunk count, wrong digest) is unlinked and recompiled once; if the
 // recompile also fails the caller falls back to the VM with the named
 // reason — never a silent wrong tier.
 //
@@ -20,10 +20,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "dv/codegen/native_abi.h"
 #include "dv/compiler.h"
+#include "dv/runtime/bytecode.h"
 #include "dv/runtime/interpreter.h"
 
 namespace deltav::dv::native {
@@ -53,37 +53,22 @@ class NativeModule {
   std::string object_path_;
 };
 
-/// A compiled program bound to one CompiledProgram's expression trees:
-/// maps the runner's root pointers (init, statement bodies, untils, site
-/// send expressions — the same set the bytecode VM compiles) onto the
-/// module's function table and dispatches calls through the C ABI.
+/// A loaded unit's chunk functions: run(i, ctx) is the native counterpart
+/// of Vm::run_chunk(i, ctx) on the same lowering.
 class NativeProgram {
  public:
-  NativeProgram(std::shared_ptr<const NativeModule> mod,
-                const std::vector<const Expr*>& roots);
+  explicit NativeProgram(std::shared_ptr<const NativeModule> mod)
+      : mod_(std::move(mod)) {}
 
-  /// Root index for `e`, or -1 when `e` is not a registered root.
-  int root_of(const Expr& e) const {
-    const auto it = roots_.find(&e);
-    return it == roots_.end() ? -1 : it->second;
-  }
-
-  /// Evaluates root `idx` against `ctx` — the native replacement for the
-  /// tree walker's eval() / the VM's run_chunk on the same root.
-  Value run_root(int idx, EvalContext& ctx) const;
-
-  Value eval_root(const Expr& e, EvalContext& ctx) const {
-    const int idx = root_of(e);
-    DV_CHECK_MSG(idx >= 0, "expression is not a native root");
-    return run_root(idx, ctx);
-  }
+  /// Runs chunk `chunk` against `ctx` and returns its result (unit chunks
+  /// return a zero int, like the VM).
+  Value run(int chunk, EvalContext& ctx) const;
 
   const std::string& digest() const { return mod_->digest(); }
   const std::string& object_path() const { return mod_->object_path(); }
 
  private:
   std::shared_ptr<const NativeModule> mod_;
-  std::unordered_map<const Expr*, int> roots_;
 };
 
 struct NativeBuildReport {
@@ -98,10 +83,10 @@ struct NativeBuildReport {
   std::string object_path;
 };
 
-/// Emits, compiles (or reuses), loads and binds `cp` for native execution.
-/// Never throws for toolchain or program-subset failures — those come back
-/// as a report with a reason.
-NativeBuildReport build_native(const CompiledProgram& cp);
+/// Emits, compiles (or reuses) and loads the native unit for `vp`, the
+/// lowering of `cp`. Never throws for toolchain or program-subset failures
+/// — those come back as a report with a reason.
+NativeBuildReport build_native(const CompiledProgram& cp, const VmProgram& vp);
 
 /// Process-wide availability probe: empty when the native tier can run
 /// here, else a named reason (sanitizer-instrumented host build, no host

@@ -243,19 +243,17 @@ struct FoldRouter {
   AtomicFoldTable* table = nullptr;  // null: every site buffers
   AtomicFoldLane* lane = nullptr;    // the caller's worker lane
 
-  /// True when `site` folds through the pending slots.
-  bool routes(int site) const {
-    return table != nullptr &&
-           table->route[static_cast<std::size_t>(site)] >= 0;
+  /// `site`'s pending-slot column; -1 when the site buffers.
+  int column(int site) const {
+    return table ? table->route[static_cast<std::size_t>(site)] : -1;
   }
 
-  /// Folds `msg` into every destination's pending slot and returns true,
-  /// or folds nothing and returns false when the whole span must be
-  /// buffered. Foldability depends on the payload alone, so one span is
-  /// never split between the paths.
-  bool fold(std::span<const graph::VertexId> dsts, const DvMessage& msg) {
-    if (table == nullptr) return false;
-    const int col = table->route[msg.site];
+  /// Folds `msg`, whose site's column is `col`, into every destination's
+  /// pending slot and returns true, or folds nothing and returns false
+  /// when the whole span must be buffered. Foldability depends on the
+  /// payload alone, so one span is never split between the paths.
+  bool fold(int col, std::span<const graph::VertexId> dsts,
+            const DvMessage& msg) {
     if (col < 0 || !table->foldable(col, msg.payload)) return false;
     for (const graph::VertexId dst : dsts) {
       table->fold(dst, col, msg.payload);

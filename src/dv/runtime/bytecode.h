@@ -106,6 +106,44 @@ enum class Op : std::uint8_t {
               // the guard's else edge; pure no-op without a shard.
 };
 
+/// Every opcode, in enum order: the VM's dispatch table and the native
+/// tier's opcode coverage test iterate this list. The static_asserts below
+/// keep it in sync with the enum.
+#define DV_VM_OPS(X)                                                         \
+  X(kConstI) X(kConstF) X(kConstB) X(kMove)                                  \
+  X(kI2F) X(kF2I) X(kB2F) X(kB2I)                                            \
+  X(kLoadIter) X(kLoadStable) X(kLoadVertexId) X(kLoadGraphSize)             \
+  X(kLoadEdgeWeight) X(kLoadParamI) X(kLoadParamF) X(kLoadParamB)            \
+  X(kDegreeIn) X(kDegreeOut)                                                 \
+  X(kLoadFieldI) X(kLoadFieldF) X(kLoadFieldB)                               \
+  X(kStoreFieldI) X(kStoreFieldF) X(kStoreFieldB)                            \
+  X(kLoadScratchI) X(kLoadScratchF) X(kLoadScratchB)                         \
+  X(kStoreScratchI) X(kStoreScratchF) X(kStoreScratchB)                      \
+  X(kAddI) X(kAddF) X(kSubI) X(kSubF) X(kMulI) X(kMulF) X(kDivF)             \
+  X(kNegI) X(kNegF) X(kNotB)                                                 \
+  X(kLtF) X(kLeF) X(kGtF) X(kGeF)                                            \
+  X(kEqI) X(kEqF) X(kEqB) X(kNeI) X(kNeF) X(kNeB)                            \
+  X(kMinI) X(kMinF) X(kMaxI) X(kMaxF)                                        \
+  X(kJump) X(kJumpIfFalse) X(kJumpIfTrue)                                    \
+  X(kHalt) X(kReturnVal) X(kReturnUnit)                                      \
+  X(kFoldFull) X(kFoldDelta) X(kSendDelta) X(kSendFull)                      \
+  X(kDivGraphSizeF) X(kDivDegOutF) X(kCopyFieldScratchF) X(kMulAddF)         \
+  X(kObsCount)
+
+namespace op_order {
+#define X(n) n,
+enum : int { DV_VM_OPS(X) kCount };
+#undef X
+#define X(n)                                     \
+  static_assert(n == static_cast<int>(Op::n),    \
+                "DV_VM_OPS out of sync with Op enum");
+DV_VM_OPS(X)
+#undef X
+}  // namespace op_order
+
+/// Number of opcodes.
+inline constexpr int kNumOps = op_order::kCount;
+
 /// Payload operand of a send superinstruction, packed into a uint16:
 /// top two bits select the source, low 14 bits index it. The operand's
 /// value is guaranteed by lowering to already have the site's element

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <string_view>
 
 #include "dv/codegen/native_module.h"
 #include "dv/persist/snapshot.h"
@@ -27,14 +26,22 @@ constexpr std::size_t kStatsTotalsBytes = 12 * 8;
 constexpr std::uint64_t kInlineFrontierFloor = 256;
 constexpr std::uint64_t kInlineFrontierShare = 8;
 
+/// A site's routes, resolved once per runner: its retraction-memo column
+/// and its atomic-fold column (-1: buffered).
+struct SiteRoute {
+  MemoColumn memo;
+  int fold_col = -1;
+};
+
 /// Adapts the engine's per-vertex send API to the interpreter's SendSink,
 /// optionally teeing every message into the debug probe. Every tier's
-/// sends meet the memo and fold-path decisions here: the bound
-/// MemoRecorder records memo-routed sites (keeping removal records back),
-/// the bound FoldRouter folds routed sites into the pending slots, and
-/// everything else enters the engine. The probe and the atomic path are
-/// mutually exclusive (the runner forces buffered under a probe: a
-/// message probe has nothing to observe on a message-free path).
+/// sends meet the memo and fold-path decisions here, from one lookup of
+/// the message site's routes: the bound MemoRecorder records memo-routed
+/// sites (keeping removal records back), the bound FoldRouter folds routed
+/// sites into the pending slots, and everything else enters the engine.
+/// The probe and the atomic path are mutually exclusive (the runner forces
+/// buffered under a probe: a message probe has nothing to observe on a
+/// message-free path).
 class EngineSink : public SendSink {
  public:
   using Ctx = DvEngine::Context;
@@ -44,18 +51,22 @@ class EngineSink : public SendSink {
     ctx_ = ctx;
     probe_ = probe && *probe ? probe : nullptr;
   }
-  void route(FoldRouter r, MemoRecorder m) { router_ = r; recorder_ = m; }
+  void route(const SiteRoute* routes, FoldRouter r, MemoRecorder m) {
+    // Unbound when no site is memoized or folded: a buffered send then
+    // costs one null test.
+    routes_ = r.table || m.table ? routes : nullptr;
+    router_ = r;
+    recorder_ = m;
+  }
   std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
-    if (recorder_.record({&dst, 1}, ctx_->vertex(), msg)) return 0;
-    if (router_.fold({&dst, 1}, msg)) return 0;
+    if (routed({&dst, 1}, msg)) return 0;
     if (probe_) (*probe_)(ctx_->vertex(), dst, msg);
     ctx_->send(dst, msg);
     return 1;
   }
   std::uint64_t send_span(std::span<const graph::VertexId> dsts,
                           const DvMessage& msg) override {
-    if (recorder_.record(dsts, ctx_->vertex(), msg)) return 0;
-    if (router_.fold(dsts, msg)) return 0;
+    if (routed(dsts, msg)) return 0;
     if (probe_)
       for (const graph::VertexId dst : dsts) (*probe_)(ctx_->vertex(), dst, msg);
     ctx_->send_span(dsts, msg);
@@ -63,8 +74,18 @@ class EngineSink : public SendSink {
   }
 
  private:
+  /// Records and folds `msg` as its site's routes say; true when nothing
+  /// is left to deliver.
+  bool routed(std::span<const graph::VertexId> dsts, const DvMessage& msg) {
+    if (routes_ == nullptr) return false;
+    const SiteRoute& r = routes_[msg.site];
+    return recorder_.record(r.memo, dsts, ctx_->vertex(), msg) ||
+           router_.fold(r.fold_col, dsts, msg);
+  }
+
   Ctx* ctx_ = nullptr;
   const Probe* probe_ = nullptr;
+  const SiteRoute* routes_ = nullptr;
   FoldRouter router_;
   MemoRecorder recorder_;
 };
@@ -217,76 +238,56 @@ class DvRunner::Impl {
       }
     }
 
-    // Native tier: AOT-compile (or reuse a cached object for) the whole
-    // program. Build failures are never fatal — the runner records the
-    // named reason, bumps dv.native_fallbacks, and constructs the VM
-    // below exactly as if --tier=vm had been requested.
-    ExecTier tier = options_.tier;
-    const auto note_native_fallback = [&](const std::string& why) {
-      native_fallback_ = why;
-      tier = ExecTier::kVm;
+    // Every compiled tier runs the VM's lowering: the VM itself, or the
+    // native unit emitted from the same chunks (native_emit.h), so roots
+    // resolve through VmProgram::chunk_of on both. The VM is immutable and
+    // holds no execution state, so one instance serves every worker. A
+    // native build failure is never fatal — the runner records the named
+    // reason, bumps dv.native_fallbacks, and runs the VM exactly as if
+    // --tier=vm had been requested.
+    if (options_.tier != ExecTier::kTree) vm_ = std::make_unique<Vm>(cp_);
+    if (options_.tier == ExecTier::kNative) {
       obs::Collector* const col = obs::resolve(options_.collector);
-      if (col) {
-        col->metrics.shard(0).add(obs::Counter::kNativeFallbacks);
-        // First token of the reason keys the per-cause series
-        // ("unsupported: ..." → dv.native_fallbacks.unsupported). An
-        // unsupported reason may carry its own single-word key
-        // ("unsupported: remote_read: ..." →
-        // dv.native_fallbacks.remote_read) for fallbacks worth tracking
-        // as their own series.
-        std::string reason = why;
-        constexpr std::string_view kUnsupported = "unsupported: ";
-        if (reason.rfind(kUnsupported, 0) == 0) {
-          const std::string rest = reason.substr(kUnsupported.size());
-          const auto c = rest.find(':');
-          if (c != std::string::npos &&
-              rest.find(' ') > c)  // "<word>: ..." sub-cause
-            reason = rest;
-        }
-        std::string cause = reason.substr(0, reason.find(':'));
-        if (const auto sp = cause.find(' '); sp != std::string::npos)
-          cause.resize(sp);
-        col->metrics.add_named("dv.native_fallbacks." + cause);
-      }
-    };
-    if (tier == ExecTier::kNative) {
-      obs::Collector* const col = obs::resolve(options_.collector);
-      const native::NativeBuildReport rep = native::build_native(cp_);
+      const native::NativeBuildReport rep =
+          native::build_native(cp_, vm_->program());
       if (col && rep.compile_seconds > 0.0)
         col->metrics.observe("dv.native_compile_seconds",
                              rep.compile_seconds);
-      if (rep.program) {
-        native_ = rep.program;
-        // Per-site root ids for push_first's send expressions — the
-        // native mirror of site_send_chunk_ below.
-        for (const AggSite& site : prog_.sites) {
-          if (site.is_channel()) {
-            site_send_root_.push_back(-1);
-            continue;
-          }
-          const Expr& e =
-              site.init_send_expr ? *site.init_send_expr : *site.send_expr;
-          site_send_root_.push_back(native_->root_of(e));
+      native_ = rep.program;
+      if (!native_) {
+        native_fallback_ = rep.reason;
+        if (col) {
+          col->metrics.shard(0).add(obs::Counter::kNativeFallbacks);
+          // The reason's first word keys the per-cause series
+          // ("compile_failed: ..." → dv.native_fallbacks.compile_failed).
+          col->metrics.add_named(
+              "dv.native_fallbacks." +
+              rep.reason.substr(0, rep.reason.find_first_of(": ")));
         }
-      } else {
-        note_native_fallback(rep.reason);
       }
     }
-    // The VM is immutable and holds no execution state, so one instance
-    // serves every worker thread.
-    if (tier == ExecTier::kVm) {
-      vm_ = std::make_unique<Vm>(cp_);
-      // Per-site chunk ids for push_first's send expressions, so the
-      // per-vertex priming loop dispatches without a root-map lookup.
-      for (const AggSite& site : prog_.sites) {
-        if (site.is_channel()) {
-          site_send_chunk_.push_back(-1);
-          continue;
-        }
-        const Expr& e =
-            site.init_send_expr ? *site.init_send_expr : *site.send_expr;
-        site_send_chunk_.push_back(vm_->program().chunk_of(e));
-      }
+    // Choose the compiled tier once: every chunk call runs the native
+    // unit's function when it loaded, else the VM's chunk.
+    if (native_)
+      run_chunk_ = [](const Impl& r, int id, EvalContext& ctx) {
+        return r.native_->run(id, ctx);
+      };
+    else if (vm_)
+      run_chunk_ = [](const Impl& r, int id, EvalContext& ctx) {
+        return r.vm_->run_chunk(id, ctx);
+      };
+    // Every root's chunk id, so no per-vertex or per-epoch path looks one
+    // up in the root map.
+    init_chunk_ = chunk_of(prog_.init.get());
+    for (const Stmt& stmt : prog_.stmts) {
+      body_chunk_.push_back(chunk_of(stmt.body.get()));
+      until_chunk_.push_back(chunk_of(stmt.until.get()));
+    }
+    for (const AggSite& site : prog_.sites) {
+      site_sent_chunk_.push_back(chunk_of(site.send_expr.get()));
+      site_send_chunk_.push_back(
+          site.init_send_expr ? chunk_of(site.init_send_expr.get())
+                              : site_sent_chunk_.back());
     }
 
     // Fold-path routing (atomic_fold.h): route every site the
@@ -318,6 +319,9 @@ class DvRunner::Impl {
       for (AtomicFoldLane& lane : atomic_lanes_)
         lane.reset(n, atomic_table_.columns());
     }
+    for (const AggSite& site : prog_.sites)
+      site_routes_.push_back(
+          {recorder(0).column(site.id), router(0).column(site.id)});
   }
 
   DvRunResult run() {
@@ -460,8 +464,6 @@ class DvRunner::Impl {
       EvalContext ctx = make_ctx(0);
       ctx.has_vertex = true;
       ctx.sink = &apply_sink;
-      const int init_chunk =
-          vm_ ? vm_->program().chunk_of(*prog_.init) : -1;
       for (std::size_t vv = old_n; vv < new_n; ++vv) {
         const auto v = static_cast<graph::VertexId>(vv);
         ctx.vertex = v;
@@ -469,10 +471,7 @@ class DvRunner::Impl {
         ctx.fields = fields_of(v);
         std::copy(scratch_defaults_.begin(), scratch_defaults_.end(),
                   ctx.scratch.begin());
-        if (init_chunk >= 0)
-          vm_->run_chunk(init_chunk, ctx);
-        else
-          eval_root(*prog_.init, ctx);
+        eval_root(init_chunk_, *prog_.init, ctx);
         push_first(ctx, v, 0);
         mark_wake(v);
         if (tracking_) note_changed(0, v);
@@ -521,7 +520,9 @@ class DvRunner::Impl {
           const auto current = [&](double w) {
             if (have_invariant) return invariant_now;
             ctx.cur_edge_weight = w;
-            const Value now = eval_root(original, ctx).coerce(site.elem_type);
+            const Value now =
+                eval_root(site_send_chunk_[site_idx], original, ctx)
+                    .coerce(site.elem_type);
             if (!per_edge) {
               invariant_now = now;
               have_invariant = true;
@@ -1023,7 +1024,9 @@ class DvRunner::Impl {
   Value last_folded(const AggSite& site, EvalContext& ctx) {
     if (site.last_sent_slot >= 0)
       return ctx.fields[static_cast<std::size_t>(site.last_sent_slot)];
-    return eval_root(*site.send_expr, ctx).coerce(site.elem_type);
+    return eval_root(site_sent_chunk_[static_cast<std::size_t>(site.id)],
+                     *site.send_expr, ctx)
+        .coerce(site.elem_type);
   }
 
   /// Adds `v` to the epoch wake frontier exactly once (bitmap dedup).
@@ -1042,7 +1045,7 @@ class DvRunner::Impl {
   void apply_direct(graph::VertexId dst, const DvMessage& m) {
     ++deltas_applied_;
     mark_wake(dst);
-    if (router(0).fold({&dst, 1}, m)) return;
+    if (router(0).fold(site_routes_[m.site].fold_col, {&dst, 1}, m)) return;
     const AggSite& site = prog_.sites[m.site];
     const auto fields = fields_of(dst);
     AccumRef ref;
@@ -1062,7 +1065,8 @@ class DvRunner::Impl {
    public:
     explicit ApplySink(Impl* runner) : runner_(runner) {}
     std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
-      if (!runner_->recorder(0).record({&dst, 1}, sender, msg))
+      const MemoColumn& memo = runner_->site_routes_[msg.site].memo;
+      if (!runner_->recorder(0).record(memo, {&dst, 1}, sender, msg))
         runner_->apply_direct(dst, msg);
       return 0;
     }
@@ -1097,10 +1101,23 @@ class DvRunner::Impl {
     return {g_.out_neighbors(v), g_.out_weights(v)};
   }
 
-  /// Evaluates a runner-visible root expression on the selected tier.
-  Value eval_root(const Expr& e, EvalContext& ctx) {
-    if (native_) return native_->eval_root(e, ctx);
-    return vm_ ? vm_->eval_root(e, ctx) : eval(e, ctx);
+  /// The chunk a runner-visible root was lowered to; -1 for no root or
+  /// on the tree tier.
+  int chunk_of(const Expr* root) const {
+    if (!vm_ || root == nullptr) return -1;
+    const int id = vm_->program().chunk_of(*root);
+    DV_CHECK_MSG(id >= 0, "expression was not lowered as a VM root");
+    return id;
+  }
+
+  /// Runs chunk `id` on the compiled tier chosen at construction.
+  Value run_chunk(int id, EvalContext& ctx) const {
+    return run_chunk_(*this, id, ctx);
+  }
+
+  /// Evaluates root `e`, whose chunk is `chunk`, on the selected tier.
+  Value eval_root(int chunk, const Expr& e, EvalContext& ctx) const {
+    return chunk >= 0 ? run_chunk(chunk, ctx) : eval(e, ctx);
   }
 
   void validate() {
@@ -1145,8 +1162,10 @@ class DvRunner::Impl {
 
   /// Broadcasts the §9 retraction for every site of statement `si`: a
   /// Δ-message taking this vertex's last-sent contribution to the
-  /// aggregation identity. Runs in place of the victim's body.
-  void send_retractions(EvalContext& ctx, graph::VertexId v,
+  /// aggregation identity. Runs in place of the victim's body; out of
+  /// line, like note_changed, so the per-vertex compute path keeps its
+  /// shape.
+  [[gnu::noinline]] void send_retractions(EvalContext& ctx, graph::VertexId v,
                         std::size_t si) {
     for (const AggSite& site : prog_.sites) {
       if (site.is_channel()) continue;  // validate() bans deletions with
@@ -1285,13 +1304,9 @@ class DvRunner::Impl {
       const Expr& expr =
           site.init_send_expr ? *site.init_send_expr : *site.send_expr;
       const int send_chunk =
-          vm_ ? site_send_chunk_[static_cast<std::size_t>(site.id)] : -1;
-      const int send_root =
-          native_ ? site_send_root_[static_cast<std::size_t>(site.id)] : -1;
+          site_send_chunk_[static_cast<std::size_t>(site.id)];
       const auto eval_send = [&](EvalContext& c) {
-        if (send_root >= 0) return native_->run_root(send_root, c);
-        return send_chunk >= 0 ? vm_->run_chunk(send_chunk, c)
-                               : eval_root(expr, c);
+        return eval_root(send_chunk, expr, c);
       };
       const auto wire = site_wire_[static_cast<std::size_t>(site.id)];
       // The first send of `v0`: a first Δ for ΔV, the full value for ΔV*
@@ -1354,13 +1369,8 @@ class DvRunner::Impl {
   }
 
   void run_init_superstep() {
-    const int init_chunk =
-        vm_ ? vm_->program().chunk_of(*prog_.init) : -1;
     run_priming_step([&](EvalContext& ctx, graph::VertexId v) {
-      if (init_chunk >= 0)
-        vm_->run_chunk(init_chunk, ctx);
-      else
-        eval_root(*prog_.init, ctx);
+      eval_root(init_chunk_, *prog_.init, ctx);
       push_first(ctx, v, 0);
       // No halt: statement 0's first superstep must run on every vertex.
     });
@@ -1415,7 +1425,7 @@ class DvRunner::Impl {
       c.sink = &lanes[w].sink;
       c.has_vertex = true;
       c.obs = col ? &col->metrics.shard(w) : nullptr;
-      lanes[w].sink.route(router(w), recorder(w));
+      lanes[w].sink.route(site_routes_.data(), router(w), recorder(w));
     }
     return lanes;
   }
@@ -1437,14 +1447,14 @@ class DvRunner::Impl {
     return ctx;
   }
 
-  /// Evaluates the until clause globally (no vertex context).
-  bool eval_until(const Stmt& stmt, std::int64_t iter, bool stable) {
+  /// Evaluates statement `si`'s until clause globally (no vertex context).
+  bool eval_until(std::size_t si, std::int64_t iter, bool stable) {
     EvalContext ctx = make_ctx(0);
     ctx.has_vertex = false;
     ctx.iter = iter;
     ctx.stable = stable;
     std::copy(scratch_defaults_.begin(), scratch_defaults_.end(), ctx.scratch.begin());
-    return eval_root(*stmt.until, ctx).as_b();
+    return eval_root(until_chunk_[si], *prog_.stmts[si].until, ctx).as_b();
   }
 
   /// Arms `victims_` for deletions scheduled at (statement, iteration).
@@ -1484,7 +1494,7 @@ class DvRunner::Impl {
     const FoldRouter r = router(0);
     if (r.table == nullptr) return false;
     for (const AggSite& site : prog_.sites)
-      if ((sites >> site.id & 1) && !r.routes(site.id)) return false;
+      if ((sites >> site.id & 1) && r.column(site.id) < 0) return false;
     return true;
   }
 
@@ -1519,14 +1529,8 @@ class DvRunner::Impl {
     // built once per worker per *statement*; iteration-varying fields
     // (iter, suppression mask) are patched in place between supersteps,
     // and the per-vertex work is only the vertex-varying views and
-    // out-flags. The VM chunk id is resolved here too, so the per-vertex
-    // dispatch is a direct call rather than a root-map lookup.
-    const int body_chunk = vm_ ? vm_->program().chunk_of(*stmt.body) : -1;
-    DV_CHECK_MSG(!vm_ || body_chunk >= 0,
-                 "statement body was not lowered as a VM root");
-    const int body_root = native_ ? native_->root_of(*stmt.body) : -1;
-    DV_CHECK_MSG(!native_ || body_root >= 0,
-                 "statement body was not emitted as a native root");
+    // out-flags.
+    const int body_chunk = body_chunk_[si];
     // Reference interpretation: kRemoteRead reads the *iteration-start*
     // field matrix, so the loop below snapshots state_ before every body
     // superstep and every lane reads through the same buffer.
@@ -1563,12 +1567,7 @@ class DvRunner::Impl {
         engine_->mark_deleted(v);
         return;
       }
-      if (body_root >= 0)
-        native_->run_root(body_root, ctx);
-      else if (body_chunk >= 0)
-        vm_->run_chunk(body_chunk, ctx);
-      else
-        eval(*stmt.body, ctx);
+      eval_root(body_chunk, *stmt.body, ctx);
       if (ctx.halt_requested) ectx.vote_to_halt();
       if (ctx.any_field_assign) {
         assign_agg_->contribute(ectx.worker(), true);
@@ -1588,7 +1587,7 @@ class DvRunner::Impl {
       // statement ends here no matter what this superstep does.
       bool last_known = !is_iter;
       if (is_iter)
-        last_known = eval_until(stmt, static_cast<std::int64_t>(iter),
+        last_known = eval_until(si, static_cast<std::int64_t>(iter),
                                 /*stable=*/false);
       assign_agg_->reset();
       set_iteration(iter, last_known ? own_sites : 0);
@@ -1641,7 +1640,7 @@ class DvRunner::Impl {
             retract_changes_last_step_ == 0 &&
             ((cp_.options.incrementalize && !msgless_stmt) ||
              !assign_agg_->reduce());
-        if (eval_until(stmt, static_cast<std::int64_t>(iter), quiescent))
+        if (eval_until(si, static_cast<std::int64_t>(iter), quiescent))
           break;
       }
       // Non-stable untils were pre-checked as last_known above; if the
@@ -1657,6 +1656,9 @@ class DvRunner::Impl {
         options_.checkpoint_sink(supersteps_);
       }
     }
+    // One entry per statement: a warm epoch re-runs statement 0, so it
+    // replaces that entry rather than appending one per epoch.
+    iterations_.resize(std::min(iterations_.size(), si));
     iterations_.push_back(iter);
   }
 
@@ -1696,12 +1698,20 @@ class DvRunner::Impl {
   std::vector<std::uint8_t> folded_per_edge_;
   std::vector<std::vector<Value>> worker_scratch_;
   std::unique_ptr<DvEngine> engine_;
-  std::unique_ptr<Vm> vm_;  // null on the tree and native tiers
-  std::vector<int> site_send_chunk_;  // per site.id; VM tier only
-  // Native tier (null when not requested or after fallback-to-vm).
+  std::unique_ptr<Vm> vm_;  // null on the tree tier
+  // The native unit of vm_'s chunks (null unless --tier=native loaded).
   std::shared_ptr<native::NativeProgram> native_;
-  std::vector<int> site_send_root_;  // per site.id; native tier only
-  std::string native_fallback_;      // why --tier=native ran on the VM
+  // The compiled tier's chunk entry, chosen once in the ctor: the native
+  // unit's function when it loaded, else the VM (null on the tree tier).
+  Value (*run_chunk_)(const Impl&, int, EvalContext&) = nullptr;
+  // Root chunk ids (-1 on the tree tier): init, per statement body and
+  // until, and per site.id the original send expression (init_send_expr
+  // when set) and send_expr, what a receiver last folded.
+  int init_chunk_ = -1;
+  std::vector<int> body_chunk_, until_chunk_;
+  std::vector<int> site_send_chunk_, site_sent_chunk_;
+  std::vector<SiteRoute> site_routes_;  // per site.id; the sinks' routes
+  std::string native_fallback_;  // why --tier=native ran on the VM
   std::unique_ptr<pregel::OrAggregator> assign_agg_;
   // Remote-read shape, computed once in the ctor: any kRequest/kReply
   // channel site (lowered mode) / any kRemoteRead left in a body

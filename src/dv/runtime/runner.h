@@ -58,8 +58,9 @@ struct VertexDeletion {
 /// Which execution substrate evaluates compiled expression trees.
 /// The tree interpreter is the reference semantics; the bytecode VM
 /// (runtime/vm.h) is the default and is bit-identical by contract; the
-/// native tier AOT-compiles the whole program into a dlopen-ed shared
-/// object (codegen/native_module.h) with the same bit-exact contract.
+/// native tier AOT-compiles the VM's bytecode, one function per chunk,
+/// into a dlopen-ed shared object (codegen/native_module.h), so it runs
+/// exactly the VM's chunks.
 /// The differential fuzzer cross-checks all three on every generated
 /// program. kNative falls back to kVm with a named reason (surfaced in
 /// DvRunResult::native_fallback and the dv.native_fallbacks counter)

@@ -167,6 +167,14 @@ struct RetractMemoTable {
   int worst(int c, const RetractEntry* cell, std::uint8_t count) const;
 };
 
+/// One memo-routed site's column with its record type and identity bits,
+/// read out of the table once so a send needs no further table lookups.
+struct MemoColumn {
+  int col = -1;  // -1: the site is not memoized
+  Type type = Type::kInt;
+  std::uint64_t identity = 0;
+};
+
 /// The memo's counterpart of FoldRouter: the runner's sinks, which every
 /// tier sends through, ask here before the fold path, so only they write
 /// records. A min/max Δ is the sender's new total, so the payload's bits
@@ -175,19 +183,24 @@ struct MemoRecorder {
   RetractMemoTable* table = nullptr;  // null: nothing is memoized
   RetractLane* lane = nullptr;        // the caller's worker lane
 
-  /// Writes one record per destination when `msg.site` is memo-routed.
-  /// Returns true when the payload is the column's identity: a removal
-  /// record only, which the caller must not deliver.
-  bool record(std::span<const graph::VertexId> dsts, graph::VertexId sender,
-              const DvMessage& msg) {
-    if (table == nullptr) return false;
-    const int col = table->route[msg.site];
-    if (col < 0) return false;
+  /// `site`'s column (col -1 when it is not memoized).
+  MemoColumn column(int site) const {
+    const int col = table ? table->route[static_cast<std::size_t>(site)] : -1;
+    if (col < 0) return {};
     const auto c = static_cast<std::size_t>(col);
-    const std::uint64_t bits = atomic_fold_bits(table->types[c], msg.payload);
+    return {col, table->types[c], table->identity[c]};
+  }
+
+  /// Writes one record per destination when `msg`'s site, whose column is
+  /// `mc`, is memo-routed. Returns true when the payload is the column's
+  /// identity: a removal record only, which the caller must not deliver.
+  bool record(const MemoColumn& mc, std::span<const graph::VertexId> dsts,
+              graph::VertexId sender, const DvMessage& msg) {
+    if (mc.col < 0) return false;
+    const std::uint64_t bits = atomic_fold_bits(mc.type, msg.payload);
     for (const graph::VertexId dst : dsts)
-      lane->record(dst, static_cast<std::uint32_t>(sender), col, bits);
-    return bits == table->identity[c];
+      lane->record(dst, static_cast<std::uint32_t>(sender), mc.col, bits);
+    return bits == mc.identity;
   }
 };
 

@@ -244,6 +244,22 @@ std::optional<DiffFailure> check_remote_case(const RemoteCase& rc,
     if (auto d = diff_runs(st_vm, st_tree); !d.empty())
       return DiffFailure{"tiers", "ΔV* vm vs tree: " + d + tag};
 
+    // Native: the statement bodies run as the vm's chunks, the phases on
+    // the tree walker, so the contract is the vm's bit for bit.
+    for (const auto& [name, cp, vm] :
+         {std::tuple{"ΔV", &low_dv, &dv_vm}, {"ΔV*", &low_st, &st_vm}}) {
+      if (!opts.check_native) break;
+      DvRunResult nat;
+      if (auto e = run(*cp, ExecTier::kNative, workers, nat); !e.empty())
+        return DiffFailure{"run", std::string(name) + " native: " + e + tag};
+      if (nat.tier_used != ExecTier::kNative)
+        return DiffFailure{"native", std::string(name) +
+                                         " fell back: " + nat.native_fallback};
+      if (auto d = diff_runs(*vm, nat); !d.empty())
+        return DiffFailure{"native",
+                           std::string(name) + " vm vs native: " + d + tag};
+    }
+
     // The tentpole contract: the 3-phase lowering is observationally the
     // reference interpretation.
     if (auto d = diff_user_fields(dv_tree, rdv, n); !d.empty())

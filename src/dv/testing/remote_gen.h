@@ -38,6 +38,10 @@ RemoteCase generate_remote_case(Rng& rng);
 
 struct RemoteDiffOptions {
   std::size_t max_supersteps = 5000;
+  /// Also run both lowered variants on the native tier, held to the vm
+  /// tier's full bit-level contract. Off by default: each variant
+  /// compiles an object, so callers turn it on for a sample of cases.
+  bool check_native = false;
 };
 
 /// Checks, for every worker count in the sweep:
@@ -45,6 +49,7 @@ struct RemoteDiffOptions {
 ///             variants all compile and verify
 ///   tiers     lowered tree ≡ lowered vm, bit-exact (state words,
 ///             supersteps, message/byte counts), both variants
+///   native    (check_native) lowered native ≡ lowered vm, the same way
 ///   lowering  lowered ≡ reference interpretation on the tree tier:
 ///             user-visible state bit-exact (the tentpole contract)
 ///   variants  ΔV ≡ ΔV* user-visible state, bit-exact

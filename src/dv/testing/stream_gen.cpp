@@ -551,6 +551,17 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
           streaming::make_stream_session(cp, base, opts_for(ExecTier::kTree));
       tree->converge();
     }
+    std::unique_ptr<streaming::DvStreamSession> native;
+    if (opts.check_native) {
+      native = streaming::make_stream_session(cp, base,
+                                              opts_for(ExecTier::kNative));
+      const DvRunResult cold = native->converge();
+      if (cold.tier_used != ExecTier::kNative)
+        return DiffFailure{"native", "native session ran on the " +
+                                         std::string(exec_tier_name(
+                                             cold.tier_used)) +
+                                         ": " + cold.native_fallback};
+    }
     // Fold-path axis: the default sessions above route proven sites
     // through the lock-free pending slots; these force the buffered
     // message path (the oracle) and the float + opt-in respectively.
@@ -587,6 +598,7 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
     };
     track("vm", vm.get());
     track("tree", tree.get());
+    track("native", native.get());
     track("vm/buffered", buffered.get());
     track("vm/atomic_float", afloat.get());
 
@@ -616,25 +628,30 @@ std::optional<DiffFailure> check_stream_case(const StreamCase& sc,
                               opts.float_tol);
       if (!diff.empty()) return DiffFailure{"values", tag(diff)};
 
-      if (tree) {
-        const streaming::SessionEpoch et = tree->apply(sc.batches[bi]);
+      // Tier axes: the same decisions, superstep counts and state bits as
+      // the VM session.
+      for (const auto& [name, session] :
+           {std::pair{"tree", tree.get()}, {"native", native.get()}}) {
+        if (session == nullptr) continue;
+        const std::string vs = std::string(" vs ") + name + " ";
+        const streaming::SessionEpoch et = session->apply(sc.batches[bi]);
         if (ev.warm != et.warm)
-          return DiffFailure{"tiers",
-                             tag("warm/cold disagreement across tiers")};
+          return DiffFailure{
+              "tiers", tag(std::string("warm/cold disagreement: vm vs ") +
+                           name)};
         if (ev.stats.supersteps != et.stats.supersteps)
           return DiffFailure{
               "tiers", tag("superstep counts diverge: vm " +
-                           std::to_string(ev.stats.supersteps) + " vs tree " +
+                           std::to_string(ev.stats.supersteps) + vs +
                            std::to_string(et.stats.supersteps))};
-        const DvRunResult rt = tree->result();
+        const DvRunResult rt = session->result();
         if (rv.state.size() != rt.state.size())
           return DiffFailure{"tiers", tag("state sizes diverge")};
         for (std::size_t i = 0; i < rv.state.size(); ++i)
           if (!value_bits_equal(rv.state[i], rt.state[i]))
             return DiffFailure{
                 "tiers", tag("state word " + std::to_string(i) + ": vm " +
-                             show(rv.state[i]) + " vs tree " +
-                             show(rt.state[i]))};
+                             show(rv.state[i]) + vs + show(rt.state[i]))};
       }
 
       if (buffered) {

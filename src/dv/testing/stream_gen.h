@@ -85,6 +85,10 @@ struct StreamDiffOptions {
   /// Also run a tree-interpreter session and require bit-identical state
   /// and equal superstep counts after every batch.
   bool check_tiers = true;
+  /// Also run a native-tier session, held to the same checks as the tree
+  /// session. Off by default: each session compiles an object, so callers
+  /// turn it on for a sample of cases.
+  bool check_native = false;
   /// Fold-path axis: also run a forced-buffered session and require it to
   /// match the default (atomic-where-proven) session after every batch —
   /// same state (ints/bools bit-exact, floats exact up to ±0.0), same

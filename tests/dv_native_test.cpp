@@ -25,6 +25,7 @@
 #include "dv/compiler.h"
 #include "dv/obs/obs.h"
 #include "dv/programs/programs.h"
+#include "dv/runtime/bytecode.h"
 #include "dv/runtime/runner.h"
 #include "dv/streaming/stream_session.h"
 #include "graph/dynamic_graph.h"
@@ -93,6 +94,10 @@ class NativeTest : public ::testing::Test {
   fs::path cache_;
   std::string marker_;
 };
+
+native::NativeBuildReport build(const CompiledProgram& cp) {
+  return native::build_native(cp, lower_program(cp));
+}
 
 DvRunResult run_tier(const CompiledProgram& cp, const graph::CsrGraph& g,
                      ExecTier tier, std::map<std::string, Value> params = {},
@@ -189,12 +194,136 @@ TEST_F(NativeTest, ConnectedComponentsMatchesVmBitExact) {
   expect_bit_identical(nat, run_tier(cp, g, ExecTier::kVm));
 }
 
+/// Sets the declared type of every local declaration of field `slot`.
+void redeclare(Expr& e, int slot, Type t) {
+  if (e.kind == ExprKind::kLocalDecl && e.slot == slot) e.decl_type = t;
+  for (const ExprPtr& k : e.kids)
+    if (k) redeclare(*k, slot, t);
+}
+
+// Every opcode has a native template, and each template does what its
+// vm.cpp case does: the builtins plus a few small sources together reach
+// every Op, and each program's native run equals the VM's bit for bit —
+// state words (type and raw 8 bytes), engine counts and every metric the
+// native tier reports.
+TEST_F(NativeTest, EveryOpcodeRunsNativeBitExact) {
+  SKIP_WITHOUT_NATIVE();
+  const std::vector<const char*> sources = {
+      programs::kPageRank, programs::kPageRankUndirected, programs::kSssp,
+      programs::kConnectedComponents, programs::kHits,
+      programs::kReachability, programs::kMaxGossip, programs::kBfs,
+      programs::kKCore, programs::kMis, programs::kPointerJump,
+      // What the builtins leave out: integer min/max, integer negation,
+      // subtraction and multiplication, bool (in)equality, float equality,
+      // float and bool params, unfused degree and graphSize loads, and a
+      // float product site.
+      R"(
+param source : int;
+param steps : int;
+param scale : float;
+param on : bool;
+init {
+  local lo : int = min(vertexId, source);
+  local hi : int = max(vertexId * 2, source - 1);
+  local ratio : float = -(vertexId / (1 + |#in|)) * scale;
+  local odd : bool = on != (lo == hi);
+  local same : bool = odd == (hi > 3);
+  local back : int = |#out| * graphSize - hi;
+  local n : float = 2.75 * vertexId;
+  local c : bool = vertexId > 1;
+  local w : bool = vertexId > 2
+};
+iter i {
+  let s : float = + [ u.ratio * u.edge | u <- #in ] in
+  let p : float = * [ 1.0 + u.ratio * u.ratio | u <- #in ] in
+  let m : int = max [ u.hi - u.back | u <- #in ] in
+  ratio = min(s, p) + max(ratio, 0.0 - s) - s * p;
+  hi = if m >= hi || not odd then m + lo else hi - 1;
+  odd = odd != (ratio <= 0.0);
+  same = ratio == s;
+  back = -m
+} until { i >= steps }
+)"};
+  // kF2I, kB2I and kB2F convert where a declared type differs from its
+  // initializer's, which no typechecked source needs: re-declare three
+  // locals of the last source after typecheck so the lowering must.
+  const auto retype = [](CompiledProgram& cp) {
+    const std::pair<const char*, Type> retyped[] = {
+        {"n", Type::kInt}, {"c", Type::kInt}, {"w", Type::kFloat}};
+    for (const auto& [name, t] : retyped) {
+      const int slot = cp.program.find_field(name);
+      cp.program.fields[static_cast<std::size_t>(slot)].type = t;
+      redeclare(*cp.program.init, slot, t);
+    }
+  };
+  // A weighted DAG (MIS's ΔV* converges on acyclic orientations only),
+  // and an undirected graph for the #neighbors programs.
+  const auto er = graph::erdos_renyi(24, 80, /*seed=*/13, /*directed=*/true,
+                                     /*weighted=*/true);
+  graph::GraphBuilder dag_builder(er.num_vertices(), /*directed=*/true);
+  dag_builder.keep_weights(true);
+  for (graph::VertexId v = 0; v < er.num_vertices(); ++v)
+    for (std::size_t k = 0; k < er.out_neighbors(v).size(); ++k)
+      if (v < er.out_neighbors(v)[k])
+        dag_builder.add_edge(v, er.out_neighbors(v)[k], er.out_weights(v)[k]);
+  const auto dag = dag_builder.build();
+  const auto undirected =
+      graph::erdos_renyi(24, 60, /*seed=*/17, /*directed=*/false,
+                         /*weighted=*/true);
+  const std::map<std::string, Value> params = {
+      {"source", Value::of_int(3)}, {"steps", Value::of_int(4)},
+      {"k", Value::of_int(2)}, {"rounds", Value::of_int(5)},
+      {"scale", Value::of_float(0.75)}, {"on", Value::of_bool(true)}};
+
+  std::vector<bool> seen(static_cast<std::size_t>(kNumOps), false);
+  for (const char* src : sources) {
+    for (const bool incremental : {true, false}) {
+      SCOPED_TRACE(std::string(incremental ? "ΔV" : "ΔV*") + src);
+      auto cp = compile_dv(src, incremental);
+      if (src == sources.back()) retype(cp);
+      for (const Chunk& ch : lower_program(cp).chunks)
+        for (const Instr& ins : ch.code)
+          seen[static_cast<std::size_t>(ins.op)] = true;
+      const auto& g =
+          std::string(src).find("#neighbors") != std::string::npos
+              ? undirected
+              : dag;
+      std::map<std::string, Value> used;
+      for (const Param& p : cp.program.params)
+        used.emplace(p.name, params.at(p.name));
+      obs::Collector nat_col, vm_col;
+      const auto nat = run_tier(cp, g, ExecTier::kNative, used, &nat_col);
+      ASSERT_EQ(nat.tier_used, ExecTier::kNative)
+          << "fell back: " << nat.native_fallback << "\n" << src;
+      const auto vm = run_tier(cp, g, ExecTier::kVm, used, &vm_col);
+      expect_bit_identical(nat, vm);
+      EXPECT_EQ(nat.atomic_folds, vm.atomic_folds);
+      ASSERT_EQ(nat.state.size(), vm.state.size());
+      for (std::size_t i = 0; i < vm.state.size(); ++i) {
+        EXPECT_EQ(nat.state[i].type, vm.state[i].type) << "state word " << i;
+        EXPECT_EQ(nat.state[i].i, vm.state[i].i) << "state word " << i;
+      }
+      // The VM's dispatch counters have no native counterpart.
+      auto nat_counters = nat_col.metrics.snapshot().counters;
+      auto vm_counters = vm_col.metrics.snapshot().counters;
+      for (const char* vm_only : {"vm.ops_dispatched", "vm.fused_ops"}) {
+        nat_counters.erase(vm_only);
+        vm_counters.erase(vm_only);
+      }
+      EXPECT_EQ(nat_counters, vm_counters);
+    }
+  }
+  for (int op = 0; op < kNumOps; ++op)
+    EXPECT_TRUE(seen[static_cast<std::size_t>(op)])
+        << "no program lowers opcode " << op << " (in Op enum order)";
+}
+
 // ------------------------------------------------------------ object cache
 
 TEST_F(NativeTest, SecondBuildHitsCache) {
   SKIP_WITHOUT_NATIVE();
   const auto cp = compile_dv(programs::kPageRank);
-  auto first = native::build_native(cp);
+  auto first = build(cp);
   ASSERT_TRUE(first.program) << first.reason;
   EXPECT_FALSE(first.cache_hit);
   EXPECT_GT(first.compile_seconds, 0.0);
@@ -202,7 +331,7 @@ TEST_F(NativeTest, SecondBuildHitsCache) {
   EXPECT_TRUE(fs::exists(first.object_path));
 
   // Live-module path: same digest while the first program is alive.
-  const auto live = native::build_native(cp);
+  const auto live = build(cp);
   ASSERT_TRUE(live.program) << live.reason;
   EXPECT_TRUE(live.cache_hit);
   EXPECT_EQ(live.digest, first.digest);
@@ -213,7 +342,7 @@ TEST_F(NativeTest, SecondBuildHitsCache) {
   // then rebuild — the cached .so is validated and reused, no compiler.
   first.program.reset();
   const auto disk = [&] {
-    auto r = native::build_native(cp);
+    auto r = build(cp);
     return r;
   }();
   ASSERT_TRUE(disk.program) << disk.reason;
@@ -225,12 +354,12 @@ TEST_F(NativeTest, SecondBuildHitsCache) {
 TEST_F(NativeTest, FlagChangeInvalidatesDigest) {
   SKIP_WITHOUT_NATIVE();
   const auto cp = compile_dv(programs::kPageRank);
-  const auto a = native::build_native(cp);
+  const auto a = build(cp);
   ASSERT_TRUE(a.program) << a.reason;
 
   const std::string changed = marker() + "_B";
   ::setenv("DV_NATIVE_CXXFLAGS", changed.c_str(), 1);
-  const auto b = native::build_native(cp);
+  const auto b = build(cp);
   ASSERT_TRUE(b.program) << b.reason;
   EXPECT_NE(b.digest, a.digest);
   EXPECT_FALSE(b.cache_hit);
@@ -239,8 +368,8 @@ TEST_F(NativeTest, FlagChangeInvalidatesDigest) {
 
 TEST_F(NativeTest, SourceChangeInvalidatesDigest) {
   SKIP_WITHOUT_NATIVE();
-  const auto a = native::build_native(compile_dv(programs::kPageRank));
-  const auto b = native::build_native(compile_dv(programs::kSssp));
+  const auto a = build(compile_dv(programs::kPageRank));
+  const auto b = build(compile_dv(programs::kSssp));
   ASSERT_TRUE(a.program) << a.reason;
   ASSERT_TRUE(b.program) << b.reason;
   EXPECT_NE(a.digest, b.digest);
@@ -250,7 +379,7 @@ TEST_F(NativeTest, SourceChangeInvalidatesDigest) {
 TEST_F(NativeTest, CorruptCachedObjectRecompiles) {
   SKIP_WITHOUT_NATIVE();
   const auto cp = compile_dv(programs::kPageRank);
-  auto first = native::build_native(cp);
+  auto first = build(cp);
   ASSERT_TRUE(first.program) << first.reason;
   const std::string so_path = first.object_path;
   first.program.reset();  // expire the registry entry
@@ -260,7 +389,7 @@ TEST_F(NativeTest, CorruptCachedObjectRecompiles) {
     out << "this is not a shared object";
   }
 
-  const auto rebuilt = native::build_native(cp);
+  const auto rebuilt = build(cp);
   ASSERT_TRUE(rebuilt.program) << rebuilt.reason;
   EXPECT_FALSE(rebuilt.cache_hit);  // load failed, recompiled
   EXPECT_GT(rebuilt.compile_seconds, 0.0);
@@ -283,7 +412,7 @@ TEST_F(NativeTest, BrokenToolchainFallsBackToVmWithCounter) {
   // succeed, so the runner must land on the VM — announced, counted,
   // correct.
   const auto cp = compile_dv(programs::kPageRank);
-  auto first = native::build_native(cp);
+  auto first = build(cp);
   ASSERT_TRUE(first.program) << first.reason;
   const std::string so_path = first.object_path;
   first.program.reset();

@@ -692,7 +692,9 @@ TEST(PersistSize, EngineSectionDoesNotGrowWithEpochs) {
   // A retraction-memo SSSP session on a fixed graph: each pair of warm
   // epochs deletes a shortcut arc and puts it back. The engine section
   // holds per-vertex flags, queues, pending messages and one stats totals
-  // record, so after any even number of epochs it has the same length.
+  // record, and the runner section per-vertex state and one iteration
+  // count per statement, so after any even number of epochs each has the
+  // same length.
   graph::GraphBuilder gb(32, /*directed=*/true);
   gb.keep_weights(true);
   for (graph::VertexId v = 0; v + 1 < 32; ++v) gb.add_edge(v, v + 1, 1.0);
@@ -702,12 +704,17 @@ TEST(PersistSize, EngineSectionDoesNotGrowWithEpochs) {
   so.run.params = {{"source", dv::Value::of_int(0)}};
   const auto s = make_stream_session(cp, gb.build(), so);
   s->converge();
-  const auto engine_bytes = [&] {
+  // The engine and runner sections' lengths. The runner section keeps one
+  // iteration count per statement, not one per epoch.
+  const auto section_bytes = [&] {
     const std::vector<std::uint8_t> b = s->save_bytes();
-    return section_end(b, dv::persist::kSecEngine) -
-           section_begin(b, dv::persist::kSecEngine);
+    return std::pair{section_end(b, dv::persist::kSecEngine) -
+                         section_begin(b, dv::persist::kSecEngine),
+                     section_end(b, dv::persist::kSecRunner) -
+                         section_begin(b, dv::persist::kSecRunner)};
   };
-  std::size_t warm = 0, epochs = 0, at_10 = 0;
+  std::size_t warm = 0, epochs = 0;
+  std::pair<std::size_t, std::size_t> at_10;
   const std::size_t steps_at_converge = s->result().stats.num_supersteps();
   while (epochs < 2000) {
     MutationBatch del;
@@ -717,12 +724,14 @@ TEST(PersistSize, EngineSectionDoesNotGrowWithEpochs) {
     ins.insert_edge(10, 13, 2.5);
     warm += s->apply(ins).warm ? 1 : 0;
     epochs += 2;
-    if (epochs == 10) at_10 = engine_bytes();
+    if (epochs == 10) at_10 = section_bytes();
   }
   EXPECT_EQ(warm, epochs) << "an epoch fell back to a cold rebuild";
   EXPECT_GE(s->result().stats.num_supersteps(), steps_at_converge + epochs)
       << "the epochs ran fewer supersteps than the test assumes";
-  EXPECT_EQ(engine_bytes(), at_10);
+  const auto [engine_at_end, runner_at_end] = section_bytes();
+  EXPECT_EQ(engine_at_end, at_10.first);
+  EXPECT_EQ(runner_at_end, at_10.second);
 }
 
 TEST(PersistFault, MissingFileThrows) {

@@ -318,27 +318,31 @@ TEST(RemoteFuzzSmoke, GeneratedCasesPassDifferentialChecks) {
 
 // -------------------------------------------------------- native tier
 
-TEST(RemoteNative, FallsBackWithNamedReason) {
+// The native tier runs remote-read programs the way the VM tier does: the
+// statement bodies run as compiled chunks, the request/reply phases on the
+// tree walker.
+TEST(RemoteNative, RunsNativeBitExactWithTheVm) {
   if (const std::string& why = native::native_unavailable_reason();
       !why.empty())
     GTEST_SKIP() << "native tier unavailable: " << why;
-  const graph::CsrGraph g = graph::path(8, /*directed=*/true);
+  const graph::CsrGraph g =
+      graph::erdos_renyi(40, 90, /*seed=*/3, /*directed=*/true);
   const CompiledProgram cp = compile(programs::kPointerJump, CompileOptions{});
   obs::Collector collector;
   DvRunOptions o = run_opts(ExecTier::kNative);
   o.collector = &collector;
-  const DvRunResult r = run_program(cp, g, o);
-  // Remote programs never run native: phases are interpreted, the rest of
-  // the statement runs on the VM — and the fallback is named, not silent.
-  EXPECT_EQ(r.tier_used, ExecTier::kVm);
-  EXPECT_NE(r.native_fallback.find("remote_read"), std::string::npos)
-      << r.native_fallback;
-  const auto snap = collector.metrics.snapshot();
-  EXPECT_EQ(snap.counter("dv.native_fallbacks"), 1u);
-  EXPECT_EQ(snap.counter("dv.native_fallbacks.remote_read"), 1u);
-  // Correct answer regardless of the tier swap.
-  std::vector<std::int64_t> want(8, 0);
-  EXPECT_EQ(r.field_as_int("parent"), want);
+  const DvRunResult nat = run_program(cp, g, o);
+  EXPECT_EQ(nat.tier_used, ExecTier::kNative) << nat.native_fallback;
+  EXPECT_EQ(collector.metrics.snapshot().counter("dv.native_fallbacks"), 0u);
+
+  const DvRunResult vm = run_program(cp, g, run_opts(ExecTier::kVm));
+  EXPECT_EQ(nat.supersteps, vm.supersteps);
+  EXPECT_EQ(nat.stats.total_messages_sent(), vm.stats.total_messages_sent());
+  ASSERT_EQ(nat.state.size(), vm.state.size());
+  for (std::size_t i = 0; i < vm.state.size(); ++i) {
+    EXPECT_EQ(nat.state[i].type, vm.state[i].type) << "state word " << i;
+    EXPECT_EQ(nat.state[i].i, vm.state[i].i) << "state word " << i;
+  }
 }
 
 }  // namespace

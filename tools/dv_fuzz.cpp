@@ -46,15 +46,39 @@ namespace {
 using namespace deltav;
 using namespace deltav::dv::testing;
 
+/// The stream and remote soaks run the native axis on every
+/// kNativeEvery-th case. Each compiles an object (about 0.17 s), so 500
+/// stream cases add about 63 compiles.
+constexpr std::int64_t kNativeEvery = 8;
+
 /// One line saying the native axis was skipped on `cases` cases (nothing
 /// when the axis actually ran or was turned off by flag).
-void report_native_skip(const DiffOptions& opts, long long cases) {
-  if (!opts.check_native) return;
+void report_native_skip(bool requested, long long cases) {
+  if (!requested) return;
   const std::string& reason = dv::native::native_unavailable_reason();
   if (reason.empty()) return;
   std::printf("native axis skipped on %lld cases: %s\n", cases,
               reason.c_str());
 }
+
+/// Picks every kNativeEvery-th case of a soak for the native axis, and
+/// reports at the end how many ran it or were skipped and why.
+struct NativeSample {
+  bool requested;
+  bool available = dv::native::native_unavailable_reason().empty();
+  long long cases = 0;
+
+  bool take(std::int64_t k) {
+    if (k % kNativeEvery != 0) return false;
+    ++cases;
+    return requested && available;
+  }
+  void report() const {
+    if (requested && available)
+      std::printf("native axis ran on %lld cases\n", cases);
+    report_native_skip(requested, cases);
+  }
+};
 
 int replay_corpus(const std::string& dir, const DiffOptions& opts) {
   // An empty directory is a legitimate corpus (no outstanding
@@ -82,7 +106,8 @@ int replay_corpus(const std::string& dir, const DiffOptions& opts) {
       std::printf("ok   %s\n", path.c_str());
     }
   }
-  report_native_skip(opts, static_cast<long long>(entries.size()));
+  report_native_skip(opts.check_native,
+                     static_cast<long long>(entries.size()));
   std::printf("%zu entries, %d failing\n", entries.size(), failures);
   return failures == 0 ? 0 : 1;
 }
@@ -91,6 +116,7 @@ int stream_soak(std::uint64_t seed, std::int64_t cases,
                 std::int64_t max_failures, bool verbose,
                 const StreamDiffOptions& opts) {
   Rng rng(seed);
+  NativeSample native{opts.check_native};
   std::int64_t failures = 0, warm_cases = 0;
   for (std::int64_t k = 0; k < cases; ++k) {
     Rng crng = rng.split();
@@ -98,7 +124,9 @@ int stream_soak(std::uint64_t seed, std::int64_t cases,
     warm_cases += sc.expect_warm ? 1 : 0;
     if (verbose)
       std::printf("--- case %lld\n%s", (long long)k, describe(sc).c_str());
-    const auto fail = check_stream_case(sc, opts);
+    StreamDiffOptions case_opts = opts;
+    case_opts.check_native = native.take(k);
+    const auto fail = check_stream_case(sc, case_opts);
     if (!fail) continue;
     ++failures;
     std::printf("FAIL case %lld seed %llu [%s] %s\n%s", (long long)k,
@@ -109,6 +137,7 @@ int stream_soak(std::uint64_t seed, std::int64_t cases,
       break;
     }
   }
+  native.report();
   std::printf("%lld stream cases (%lld warm-family), %lld failing\n",
               (long long)cases, (long long)warm_cases, (long long)failures);
   return failures == 0 ? 0 : 1;
@@ -118,6 +147,7 @@ int remote_soak(std::uint64_t seed, std::int64_t cases,
                 std::int64_t max_failures, bool verbose,
                 const RemoteDiffOptions& opts) {
   Rng rng(seed);
+  NativeSample native{opts.check_native};
   std::int64_t failures = 0;
   for (std::int64_t k = 0; k < cases; ++k) {
     Rng crng = rng.split();
@@ -125,7 +155,9 @@ int remote_soak(std::uint64_t seed, std::int64_t cases,
     if (verbose)
       std::printf("--- case %lld (graph %s)\n%s", (long long)k,
                   rc.graph.describe().c_str(), rc.source.c_str());
-    const auto fail = check_remote_case(rc, opts);
+    RemoteDiffOptions case_opts = opts;
+    case_opts.check_native = native.take(k);
+    const auto fail = check_remote_case(rc, case_opts);
     if (!fail) continue;
     ++failures;
     std::printf("FAIL case %lld seed %llu [%s] %s\ngraph %s:\n%s",
@@ -137,6 +169,7 @@ int remote_soak(std::uint64_t seed, std::int64_t cases,
       break;
     }
   }
+  native.report();
   std::printf("%lld remote cases, %lld failing\n", (long long)cases,
               (long long)failures);
   return failures == 0 ? 0 : 1;
@@ -214,7 +247,8 @@ int main(int argc, char** argv) {
     diff.check_native = args.get_bool(
         "native", true,
         "native axis: AOT-compile both variants and hold them bit-exact "
-        "against the VM; skipped (with a note) without a host compiler");
+        "against the VM (every 8th case of --stream and --remote); skipped "
+        "(with a note) without a host compiler");
     obs::ReportOptions obs_opts;
     obs_opts.metrics_path = args.get_string(
         "metrics", "", "write an aggregate metrics JSON document on exit");
@@ -237,6 +271,7 @@ int main(int argc, char** argv) {
     if (!replay.empty()) return replay_corpus(replay, diff);
     if (remote) {
       RemoteDiffOptions ropts;
+      ropts.check_native = diff.check_native;
       return remote_soak(seed, programs, max_failures, verbose, ropts);
     }
     if (persist) {
@@ -249,6 +284,7 @@ int main(int argc, char** argv) {
       sopts.float_tol = diff.float_tol;
       sopts.workers = static_cast<int>(workers);
       sopts.check_fold_path = fold_path;
+      sopts.check_native = diff.check_native;
       return stream_soak(seed, programs, max_failures, verbose, sopts);
     }
 
@@ -300,7 +336,7 @@ int main(int argc, char** argv) {
         break;
       }
     }
-    report_native_skip(diff, (long long)programs);
+    report_native_skip(diff.check_native, (long long)programs);
     std::printf("%lld programs, %lld failing\n", (long long)programs,
                 (long long)failures);
     return failures == 0 ? 0 : 1;
