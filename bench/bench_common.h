@@ -178,12 +178,14 @@ class JsonReport {
     if (enabled()) rows_.push_back(Row{graph, algo, system, tier, fold, m});
   }
 
-  /// Attaches the bench's observability counters; emitted as a top-level
-  /// "metrics" object. Counts aggregate every measured run (including
-  /// repetitions) of the bench invocation — deterministic series scale
-  /// linearly with reps, timings do not appear here.
-  void set_metrics(std::map<std::string, std::uint64_t> counters) {
-    obs_counters_ = std::move(counters);
+  /// Attaches the bench's observability series: counters as a top-level
+  /// "metrics" object, histograms (e.g. dv.native_compile_seconds) as a
+  /// "histograms" object of {count, sum, min, max}. Both aggregate every
+  /// measured run (including repetitions) of the bench invocation —
+  /// deterministic counters scale linearly with reps.
+  void set_metrics(const obs::MetricsRegistry::Snapshot& snap) {
+    obs_counters_ = snap.counters;
+    obs_histograms_ = snap.histograms;
   }
 
   void write(const std::string& bench_name) const {
@@ -218,6 +220,17 @@ class JsonReport {
       }
       out << "\n  }";
     }
+    if (!obs_histograms_.empty()) {
+      out << ",\n  \"histograms\": {";
+      bool first = true;
+      for (const auto& [name, h] : obs_histograms_) {
+        out << (first ? "\n" : ",\n") << "    \"" << name
+            << "\": {\"count\": " << h.count << ", \"sum\": " << h.sum
+            << ", \"min\": " << h.min << ", \"max\": " << h.max << "}";
+        first = false;
+      }
+      out << "\n  }";
+    }
     out << "\n}\n";
     DV_CHECK_MSG(out.good(), "failed writing --json path '" << path_ << "'");
     std::cout << "\nwrote " << rows_.size() << " rows to " << path_ << "\n";
@@ -231,6 +244,7 @@ class JsonReport {
   std::string path_;
   std::vector<Row> rows_;
   std::map<std::string, std::uint64_t> obs_counters_;
+  std::map<std::string, obs::MetricsRegistry::HistogramStats> obs_histograms_;
 };
 
 /// Prints the standard bench banner.

@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper §7.2 shape: PR and HITS show multi-x message "
                "reduction and speedup; SSSP shows 1.00x. Scale="
             << scale << ".\n";
-  json.set_metrics(collector.metrics.snapshot().counters);
+  json.set_metrics(collector.metrics.snapshot());
   json.write("fig4");
 
   // Perf gate: the native tier must never lose to the VM on the workload

@@ -525,7 +525,7 @@ int main(int argc, char** argv) {
                  " warm-buffered\nby >=2x epochs/sec on at least one"
                  " workload (best: "
               << std::setprecision(3) << best_atomic_speedup << "x).\n";
-    json.set_metrics(collector.metrics.snapshot().counters);
+    json.set_metrics(collector.metrics.snapshot());
     json.write("bench_stream");
     if (!warm_wins) {
       std::cerr << "bench_stream: warm epochs did not beat cold re-runs\n";

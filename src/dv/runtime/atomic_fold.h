@@ -15,7 +15,9 @@
 // The execution tiers never see this choice: they hand every Δ-send to
 // the runner's sink, and the sink asks FoldRouter (below) — the only
 // reader of AtomicFoldTable::route — whether the send folds here or goes
-// to the engine as a message.
+// to the engine as a message. Memo-routed min/max sites never get here:
+// their retraction memo (streaming/retract/retract_memo.h) is their only
+// fold path, so they have no column in this table.
 //
 // Correctness contract (DESIGN.md "Fold paths"):
 //  * pending slots hold the ⊞-fold of every contribution since the last
@@ -39,6 +41,7 @@
 //    the fork-join barrier provides the inter-thread ordering.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -86,9 +89,10 @@ inline Value atomic_fold_value(Type t, std::uint64_t bits) {
 /// Pending-slot table: one std::atomic<uint64_t> per (vertex, routed
 /// site), identity-initialized, owned by the runner and shared by every
 /// worker lane. `route[site]` maps a site id to its column in the table
-/// (-1 = site stays buffered).
+/// (-1 = site stays buffered). Rows are vertex-outermost, and the slot
+/// array keeps spare rows so growth appends instead of rebuilding.
 struct AtomicFoldTable {
-  std::vector<std::atomic<std::uint64_t>> slots;
+  std::vector<std::atomic<std::uint64_t>> slots;  // capacity rows
   std::vector<int> route;        // site id -> column, -1 = buffered
   std::vector<AggOp> ops;        // per column
   std::vector<Type> types;       // per column
@@ -103,16 +107,33 @@ struct AtomicFoldTable {
            static_cast<std::size_t>(column);
   }
 
-  /// (Re)initializes every slot to its column's identity. Single-threaded;
-  /// called at construction and on growth.
+  /// (Re)initializes every slot to its column's identity, with no spare
+  /// rows. Single-threaded; called at construction.
   void reset(std::size_t n) {
+    std::vector<std::atomic<std::uint64_t>>(n * columns()).swap(slots);
+    num_vertices = 0;
+    grow(n);
+  }
+
+  /// Extends the table to `n` vertices, identity-filling only the new
+  /// rows. Past the capacity the slot array doubles, so a stream of
+  /// one-vertex growth batches costs O(1) amortized per vertex.
+  /// Single-threaded, between supersteps.
+  void grow(std::size_t n) {
+    if (n <= num_vertices) return;
+    const std::size_t C = columns();
+    if (n * C > slots.size()) {
+      std::vector<std::atomic<std::uint64_t>> fresh(
+          std::max(n, 2 * (C ? slots.size() / C : 0)) * C);
+      for (std::size_t i = 0; i < num_vertices * C; ++i)
+        fresh[i].store(slots[i].load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+      slots.swap(fresh);
+    }
+    for (std::size_t v = num_vertices; v < n; ++v)
+      for (std::size_t c = 0; c < C; ++c)
+        slots[v * C + c].store(identity[c], std::memory_order_relaxed);
     num_vertices = n;
-    std::vector<std::atomic<std::uint64_t>> fresh(n * columns());
-    for (std::size_t v = 0; v < n; ++v)
-      for (std::size_t c = 0; c < columns(); ++c)
-        fresh[v * columns() + c].store(identity[c],
-                                       std::memory_order_relaxed);
-    slots.swap(fresh);
   }
 
   /// True when `payload` can fold into `column` atomically: everything
@@ -182,6 +203,14 @@ struct alignas(64) AtomicFoldLane {
     words.assign(words_per_column * columns, 0);
     summary.assign((words.size() + 63) / 64, 0);
     folds = 0;
+  }
+
+  /// Widens the frontier to cover `n` vertices. Between supersteps every
+  /// mark and fold count has been drained, so a wider bitmap is simply a
+  /// fresh one; it doubles, so one-vertex growth batches rarely rebuild it.
+  void grow(std::size_t n, std::size_t columns) {
+    if ((n + 63) / 64 <= words_per_column) return;
+    reset(std::max(n, 2 * 64 * words_per_column), columns);
   }
 
   void mark(graph::VertexId v, int column) {

@@ -27,7 +27,8 @@ constexpr std::uint64_t kInlineFrontierFloor = 256;
 constexpr std::uint64_t kInlineFrontierShare = 8;
 
 /// A site's routes, resolved once per runner: its retraction-memo column
-/// and its atomic-fold column (-1: buffered).
+/// and its atomic-fold column (-1: buffered). A memo-routed site has no
+/// atomic-fold column: the memo is its only fold path.
 struct SiteRoute {
   MemoColumn memo;
   int fold_col = -1;
@@ -36,12 +37,13 @@ struct SiteRoute {
 /// Adapts the engine's per-vertex send API to the interpreter's SendSink,
 /// optionally teeing every message into the debug probe. Every tier's
 /// sends meet the memo and fold-path decisions here, from one lookup of
-/// the message site's routes: the bound MemoRecorder records memo-routed
-/// sites (keeping removal records back), the bound FoldRouter folds routed
-/// sites into the pending slots, and everything else enters the engine.
-/// The probe and the atomic path are mutually exclusive (the runner forces
-/// buffered under a probe: a message probe has nothing to observe on a
-/// message-free path).
+/// the message site's routes: the bound MemoRecorder takes memo-routed
+/// sites' sends as records and nothing else (a NaN payload also enters
+/// the engine), the bound FoldRouter folds routed sites into the pending
+/// slots, and everything else enters the engine. The probe and the atomic
+/// path are mutually exclusive (the runner forces buffered under a probe:
+/// a message probe has nothing to observe on a message-free path), but
+/// the probe still sees every recorded contribution.
 class EngineSink : public SendSink {
  public:
   using Ctx = DvEngine::Context;
@@ -74,13 +76,24 @@ class EngineSink : public SendSink {
   }
 
  private:
-  /// Records and folds `msg` as its site's routes say; true when nothing
+  /// Records or folds `msg` as its site's routes say; true when nothing
   /// is left to deliver.
   bool routed(std::span<const graph::VertexId> dsts, const DvMessage& msg) {
     if (routes_ == nullptr) return false;
     const SiteRoute& r = routes_[msg.site];
-    return recorder_.record(r.memo, dsts, ctx_->vertex(), msg) ||
-           router_.fold(r.fold_col, dsts, msg);
+    if (r.memo.col < 0) return router_.fold(r.fold_col, dsts, msg);
+    if (!recorder_.record(r.memo, dsts, ctx_->vertex(), msg)) return false;
+    if (probe_) probe_recorded(r.memo, dsts, msg);
+    return true;
+  }
+
+  /// Shows the probe a recorded send; a removal record never was a
+  /// message, so it stays unobserved.
+  [[gnu::noinline]] void probe_recorded(const MemoColumn& mc,
+                                        std::span<const graph::VertexId> dsts,
+                                        const DvMessage& msg) {
+    if (atomic_fold_bits(mc.type, msg.payload) == mc.identity) return;
+    for (const graph::VertexId dst : dsts) (*probe_)(ctx_->vertex(), dst, msg);
   }
 
   Ctx* ctx_ = nullptr;
@@ -294,7 +307,9 @@ class DvRunner::Impl {
     // incrementalize pass proved commutative-associative through the
     // pending-slot path — unless forced buffered, or a send probe is
     // installed (a message probe has nothing to observe on a message-free
-    // path, so the probe wins).
+    // path, so the probe wins). A memo-routed site is message-free on
+    // either fold path and needs no pending slot: its memo drain rewrites
+    // the accumulator.
     atomic_table_.route.assign(prog_.sites.size(), -1);
     if (cp_.options.incrementalize &&
         options_.fold_path != FoldPath::kBuffered &&
@@ -304,6 +319,9 @@ class DvRunner::Impl {
             site.atomic_ok ||
             (options_.atomic_float && site.atomic_float_ok);
         if (!eligible) continue;
+        atomic_path_ = true;
+        if (retract_table_.route[static_cast<std::size_t>(site.id)] >= 0)
+          continue;
         atomic_table_.route[static_cast<std::size_t>(site.id)] =
             static_cast<int>(atomic_table_.ops.size());
         atomic_table_.ops.push_back(site.op);
@@ -448,11 +466,11 @@ class DvRunner::Impl {
     if (new_n > old_n) {
       engine_->grow(new_n);
       if (!atomic_table_.empty()) {
-        // Pending slots are empty between supersteps, so the re-init only
-        // resizes; lanes follow the new bitmap width.
-        atomic_table_.reset(new_n);
+        // Pending slots are empty between supersteps: only the new rows
+        // are identity-filled, and lanes widen their bitmaps geometrically.
+        atomic_table_.grow(new_n);
         for (AtomicFoldLane& lane : atomic_lanes_)
-          lane.reset(new_n, atomic_table_.columns());
+          lane.grow(new_n, atomic_table_.columns());
       }
       if (!retract_table_.empty()) retract_table_.grow(new_n);
       state_.resize(new_n * stride_);
@@ -573,13 +591,10 @@ class DvRunner::Impl {
       }
     }
 
-    // Routed epoch patches are still parked in pending slots: fold them
-    // into the accumulators now (wake_ was marked at fold time).
-    drain_atomic(/*activate=*/false);
-    // Memo-routed records likewise: apply them in canonical order and
-    // rewrite every dirty cell's accumulator from the memo (the normal
-    // fold path never saw these sites' epoch deltas).
-    drain_retract(/*activate=*/false);
+    // Routed epoch patches are still parked in pending slots (wake_ was
+    // marked at fold time), and memo-routed sites' records in the memo
+    // lanes: fold both into the accumulators now.
+    drain(/*activate=*/false);
 
     // ---- Wake exactly the mutation frontier (touched endpoints, Δ
     // receivers, new vertices) and re-converge the statement. The wake
@@ -611,7 +626,7 @@ class DvRunner::Impl {
     es.deltas_applied = deltas_applied_;
     es.supersteps = supersteps_ - steps_base;
     es.atomic_folds = atomic_folds_total_ - folds_base;
-    es.atomic_path = !atomic_table_.empty();
+    es.atomic_path = atomic_path_;
     es.messages = engine_->stats().total_messages_sent() - sent_base;
     if (col) {
       auto& sh = col->metrics.shard(0);
@@ -644,7 +659,7 @@ class DvRunner::Impl {
     return true;
   }
 
-  bool atomic_path() const { return !atomic_table_.empty(); }
+  bool atomic_path() const { return atomic_path_; }
 
   bool memo_path() const { return !retract_table_.empty(); }
 
@@ -881,29 +896,44 @@ class DvRunner::Impl {
   }
 
  private:
-  /// Post-step drain of the lock-free fold path: walks every lane's
-  /// two-level frontier (for_each_marked), applies each marked (vertex,
-  /// site) pending slot into the aggAccum field via the same apply_delta a
+  /// Post-step drains, run single-threaded between supersteps and at
+  /// epoch start: the atomic pending slots, then the memo records (their
+  /// cells are disjoint). `activate` selects engine wake-up (stepping) vs
+  /// the epoch's wake_ frontier.
+  void drain(bool activate) {
+    atomic_folds_last_step_ = 0;
+    drain_atomic(activate);
+    drain_retract(activate);
+  }
+
+  /// Takes one drain's lock-free fold counts (atomic slots or memo
+  /// records) out of `lanes`.
+  template <typename Lane>
+  void count_folds(std::vector<Lane>& lanes) {
+    std::uint64_t folds = 0;
+    for (Lane& lane : lanes) {
+      folds += lane.folds;
+      lane.folds = 0;
+    }
+    atomic_folds_last_step_ += folds;
+    atomic_folds_total_ += folds;
+    if (obs::Collector* const col = obs::resolve(options_.collector))
+      col->metrics.shard(0).add(obs::Counter::kAtomicFolds, folds);
+  }
+
+  /// Drain of the lock-free fold path: walks every lane's two-level
+  /// frontier (for_each_marked), applies each marked (vertex, site)
+  /// pending slot into the aggAccum field via the same apply_delta a
   /// buffered delivery runs, and wakes the vertex. The application is
   /// UNCONDITIONAL — a marked slot still holding identity bits corresponds
   /// to a buffered combined-to-identity message, which is also applied and
   /// also wakes its receiver (bit-exactness: −0.0 + 0.0 must land as +0.0
   /// on both paths). Deleted vertices get their slot reset but neither
-  /// apply nor wake, mirroring the engine's message drop. Runs
-  /// single-threaded between supersteps; `activate` selects engine wake-up
-  /// (stepping) vs the epoch's wake_ frontier (apply_epoch marks wake_ at
-  /// fold time already, so false there).
+  /// apply nor wake, mirroring the engine's message drop. In an epoch
+  /// (`activate` false) apply_direct marked wake_ at fold time already.
   void drain_atomic(bool activate) {
     if (atomic_table_.empty()) return;
-    std::uint64_t folds = 0;
-    for (AtomicFoldLane& lane : atomic_lanes_) {
-      folds += lane.folds;
-      lane.folds = 0;
-    }
-    atomic_folds_last_step_ = folds;
-    atomic_folds_total_ += folds;
-    if (obs::Collector* const col = obs::resolve(options_.collector))
-      col->metrics.shard(0).add(obs::Counter::kAtomicFolds, folds);
+    count_folds(atomic_lanes_);
     for_each_marked(atomic_lanes_, [&](int c, graph::VertexId v) {
       const Value pending = atomic_table_.take(v, c);
       if (engine_->is_deleted(v)) return;
@@ -916,21 +946,20 @@ class DvRunner::Impl {
     });
   }
 
-  /// Post-step drain of the retraction-memo records (DESIGN.md §11).
-  /// Gathers every lane's records (RetractDrainOrder), applies them in
-  /// canonical (dst, col, sender) order — deterministic across schedules
-  /// and bit-identical across tiers — and rewrites accumulators from the
-  /// memo where the extremum may have risen. In step mode (`activate`) only kWorsened
-  /// cells are rewritten: improvements already arrived through the normal
-  /// fold paths, and rewriting them too would trade bit patterns between
-  /// paths for no information. In epoch mode every touched cell is
-  /// rewritten, because Phase B routed these sites' deltas here instead
-  /// of through apply_direct. Underflown cells (all k survivors
-  /// retracted) take a targeted re-fold of that one vertex's
+  /// Drain of the retraction-memo records (DESIGN.md §11), a memo-routed
+  /// site's only fold path. Gathers every lane's records
+  /// (RetractDrainOrder), applies them in canonical (dst, col, sender)
+  /// order — deterministic across schedules and bit-identical across
+  /// tiers — and rewrites every cell a record changed from the memo's
+  /// query(). The receiver wakes only when its accumulator's bits changed:
+  /// a record that improves a non-best entry, or re-sends the best one,
+  /// is no news to it (§6.6's meaningful messages). Underflown cells (all
+  /// k survivors retracted) take a targeted re-fold of that one vertex's
   /// in-neighborhood — never a whole-graph restart.
   void drain_retract(bool activate) {
     if (retract_table_.empty()) return;
     retract_changes_last_step_ = 0;
+    count_folds(memo_lanes_);
     retract_order_.gather(memo_lanes_, retract_table_.columns(),
                           retract_table_.counts.size(), retract_scratch_);
     if (retract_scratch_.empty()) return;
@@ -939,7 +968,6 @@ class DvRunner::Impl {
     while (i < retract_scratch_.size()) {
       const graph::VertexId dst = retract_scratch_[i].dst;
       const std::uint32_t col = retract_scratch_[i].col;
-      bool worsened = false;
       bool touched = false;
       for (; i < retract_scratch_.size() &&
              retract_scratch_[i].dst == dst && retract_scratch_[i].col == col;
@@ -947,14 +975,10 @@ class DvRunner::Impl {
         const auto ap = retract_table_.apply(dst, static_cast<int>(col),
                                              retract_scratch_[i].sender,
                                              retract_scratch_[i].bits);
-        if (ap == RetractMemoTable::Applied::kWorsened) {
-          worsened = true;
-          ++retractions;
-        }
+        if (ap == RetractMemoTable::Applied::kWorsened) ++retractions;
         if (ap != RetractMemoTable::Applied::kUntouched) touched = true;
       }
-      if (engine_->is_deleted(dst)) continue;
-      if (activate ? !worsened : !touched) continue;
+      if (!touched || engine_->is_deleted(dst)) continue;
       std::uint64_t acc_bits = 0;
       if (retract_table_.query(dst, static_cast<int>(col), &acc_bits) ==
           RetractMemoTable::CellState::kUnderflow) {
@@ -1040,8 +1064,8 @@ class DvRunner::Impl {
   /// accumulator slots (Eq. 8/9) — the epoch-start equivalent of the
   /// fold's per-message apply_delta — and marks it for wake-up. Routed
   /// sites park in the pending slots the superstep path uses (one code
-  /// path, one semantics); the epoch's drain_atomic(false) applies them
-  /// after Phase B.
+  /// path, one semantics); the epoch's drain(false) applies them after
+  /// Phase B. A memo-routed site gets here only with a NaN payload.
   void apply_direct(graph::VertexId dst, const DvMessage& m) {
     ++deltas_applied_;
     mark_wake(dst);
@@ -1058,15 +1082,17 @@ class DvRunner::Impl {
   }
 
   /// SendSink that short-circuits the engine: messages land in receiver
-  /// state immediately, so none is buffered. Used for epoch-start
-  /// synthesis only (push_first of added vertices routes through it, with
-  /// `sender` the vertex being initialized).
+  /// state immediately, so none is buffered, and memo-routed sites' sends
+  /// become records for the epoch's drain. Used for epoch-start synthesis
+  /// only (push_first of added vertices routes through it, with `sender`
+  /// the vertex being initialized).
   class ApplySink : public SendSink {
    public:
     explicit ApplySink(Impl* runner) : runner_(runner) {}
     std::uint64_t send(graph::VertexId dst, const DvMessage& msg) override {
       const MemoColumn& memo = runner_->site_routes_[msg.site].memo;
-      if (!runner_->recorder(0).record(memo, {&dst, 1}, sender, msg))
+      if (memo.col < 0 ||
+          !runner_->recorder(0).record(memo, {&dst, 1}, sender, msg))
         runner_->apply_direct(dst, msg);
       return 0;
     }
@@ -1398,8 +1424,7 @@ class DvRunner::Impl {
       per_vertex(enter(lanes, ectx, v, {}), v);
     });
     ++supersteps_;
-    drain_atomic(/*activate=*/true);
-    drain_retract(/*activate=*/true);
+    drain(/*activate=*/true);
   }
 
   /// Per-worker evaluation state. Cache-line aligned: the context's
@@ -1488,13 +1513,15 @@ class DvRunner::Impl {
     return mask;
   }
 
-  /// True when every aggregation site in the `sites` mask folds through
-  /// the atomic table, bypassing the message pipeline.
-  bool all_fold_atomically(std::uint64_t sites) {
-    const FoldRouter r = router(0);
-    if (r.table == nullptr) return false;
-    for (const AggSite& site : prog_.sites)
-      if ((sites >> site.id & 1) && r.column(site.id) < 0) return false;
+  /// True when every aggregation site in the `sites` mask bypasses the
+  /// message pipeline: it folds through the atomic table or is memo-routed.
+  bool all_fold_atomically(std::uint64_t sites) const {
+    if (atomic_table_.empty() && retract_table_.empty()) return false;
+    for (const AggSite& site : prog_.sites) {
+      const SiteRoute& r = site_routes_[static_cast<std::size_t>(site.id)];
+      if ((sites >> site.id & 1) && r.fold_col < 0 && r.memo.col < 0)
+        return false;
+    }
     return true;
   }
 
@@ -1615,8 +1642,7 @@ class DvRunner::Impl {
                     exchange_free && engine_->num_active() <= inline_cap);
       victims_.clear();
       ++supersteps_;
-      drain_atomic(/*activate=*/true);
-      drain_retract(/*activate=*/true);
+      drain(/*activate=*/true);
       if (epoch_cap_abs_ != 0 && supersteps_ >= epoch_cap_abs_) {
         warm_aborted_ = true;
         break;
@@ -1748,8 +1774,12 @@ class DvRunner::Impl {
   AtomicFoldTable atomic_table_;
   std::vector<AtomicFoldLane> atomic_lanes_;
   std::vector<int> atomic_col_site_;
+  // Lock-free folds, memo records included: both fold paths count them.
   std::uint64_t atomic_folds_total_ = 0;      // since construction
   std::uint64_t atomic_folds_last_step_ = 0;  // quiescence extension
+  // Some site runs the atomic fold path (a memo-routed one through its
+  // memo); what EpochStats::atomic_path and atomic_path() report.
+  bool atomic_path_ = false;
   // Retraction-memo path (streaming/retract/retract_memo.h): the k-best
   // tournament table, one record lane per worker, drain/refold scratch,
   // and the Class B runtime guard state. Empty/zero when minmax_memo_k is

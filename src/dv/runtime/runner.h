@@ -105,9 +105,10 @@ struct DvRunOptions {
   /// site the incrementalize pass proved commutative-associative through
   /// the lock-free pending-slot path (ineligible sites, and NaN payloads,
   /// still buffer); kBuffered forces the message path everywhere (the
-  /// differential oracle). The runner's send sink applies the routing for
-  /// every tier. A send_probe forces buffered regardless: a message probe
-  /// has nothing to observe on a message-free path.
+  /// differential oracle) but at memo-routed sites (minmax_memo_k), whose
+  /// memo is their only fold path on both. The runner's send sink applies
+  /// the routing for every tier. A send_probe forces buffered regardless:
+  /// a message probe has nothing to observe on a message-free path.
   FoldPath fold_path = FoldPath::kAuto;
   /// Retraction-memo capacity (DESIGN.md §11): with k > 0, every memo-
   /// eligible min/max site keeps the k best tagged contributions per
@@ -146,8 +147,9 @@ struct DvRunResult {
   std::size_t supersteps = 0;
   std::vector<std::size_t> iterations;  // per statement
   /// Δ-contributions folded lock-free into receiver accumulators (the
-  /// atomic fold path) over this runner's lifetime. Each stands in for a
-  /// message that never enters the engine, so stats counts omit them.
+  /// atomic fold path, and memo-routed sites' records on either path)
+  /// over this runner's lifetime. Each stands in for a message that never
+  /// enters the engine, so stats counts omit them.
   std::uint64_t atomic_folds = 0;
 
   /// The tier that actually executed. Equals the requested tier except
@@ -201,8 +203,10 @@ struct EpochStats {
                                    // receiver accumulators at epoch start
   std::size_t woken = 0;           // vertices activated at epoch start
   std::uint64_t atomic_folds = 0;  // contributions folded lock-free this
-                                   // epoch (0 on the buffered path)
-  bool atomic_path = false;        // any site routed through the atomic path
+                                   // epoch: atomic slots, plus memo records
+                                   // on either fold path
+  bool atomic_path = false;        // the session runs the atomic fold path
+                                   // (some site is eligible for it)
   // Retraction memos (DESIGN.md §11):
   std::uint64_t minmax_retractions = 0;  // worsened/removed contributions
                                          // retracted through the memo
@@ -316,8 +320,9 @@ class DvRunner {
   /// converged().
   bool take_changed(std::vector<graph::VertexId>& out);
 
-  /// True when at least one aggregation site routes through the lock-free
-  /// fold path under this runner's options (labels bench/tool output).
+  /// True when at least one aggregation site runs the lock-free fold path
+  /// under this runner's options — a memo-routed site through its memo,
+  /// which it uses on either path (labels bench/tool output).
   bool atomic_path() const;
 
   /// Implementation; public so run_program can drive it directly.

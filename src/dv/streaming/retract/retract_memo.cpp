@@ -1,6 +1,7 @@
 #include "dv/streaming/retract/retract_memo.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -206,28 +207,47 @@ void RetractDrainOrder::gather(std::span<RetractLane> lanes,
                                std::size_t columns, std::size_t cells,
                                std::vector<RetractRecord>& out) {
   out.clear();
-  if (cursor_.size() < cells) cursor_.resize(cells, 0);
+  if (cursor_.size() < cells) {
+    cursor_.resize(cells, 0);
+    words_.resize((cells + 63) / 64, 0);
+    summary_.resize((words_.size() + 63) / 64, 0);
+  }
   const auto cell_of = [columns](const RetractRecord& r) {
     return static_cast<std::size_t>(r.dst) * columns + r.col;
   };
-  // Count each cell's records, noting every cell on its first record.
-  cells_.clear();
+  // Count each cell's records, marking every cell on its first record.
   std::size_t total = 0;
   for (const RetractLane& lane : lanes) {
     total += lane.records.size();
     for (const RetractRecord& r : lane.records) {
-      std::uint32_t& c = cursor_[cell_of(r)];
-      if (c++ == 0) cells_.push_back(cell_of(r));
+      const std::size_t cell = cell_of(r);
+      if (cursor_[cell]++ != 0) continue;
+      words_[cell >> 6] |= std::uint64_t{1} << (cell & 63);
+      summary_[cell >> 12] |= std::uint64_t{1} << ((cell >> 6) & 63);
     }
   }
   if (total == 0) return;
-  // Cell index order is (dst, col) order. Turn counts into bucket starts.
-  std::sort(cells_.begin(), cells_.end());
+  // Cell index order is (dst, col) order: walk the marked cells in it,
+  // turning counts into bucket starts and clearing the marks.
   std::uint32_t start = 0;
-  for (const std::uint64_t cell : cells_) {
-    const std::uint32_t count = cursor_[cell];
-    cursor_[cell] = start;
-    start += count;
+  for (std::size_t si = 0; si < summary_.size(); ++si) {
+    std::uint64_t dirty = summary_[si];
+    summary_[si] = 0;
+    while (dirty) {
+      const std::size_t wi =
+          si * 64 + static_cast<std::size_t>(std::countr_zero(dirty));
+      dirty &= dirty - 1;
+      std::uint64_t word = words_[wi];
+      words_[wi] = 0;
+      while (word) {
+        const std::size_t cell =
+            wi * 64 + static_cast<std::size_t>(std::countr_zero(word));
+        word &= word - 1;
+        const std::uint32_t count = cursor_[cell];
+        cursor_[cell] = start;
+        start += count;
+      }
+    }
   }
   // Scatter in arrival order; each cursor ends at its bucket's end.
   out.resize(total);
@@ -235,19 +255,39 @@ void RetractDrainOrder::gather(std::span<RetractLane> lanes,
     for (const RetractRecord& r : lane.records) out[cursor_[cell_of(r)]++] = r;
     lane.records.clear();
   }
-  // Order each bucket by sender, stably (arrival breaks ties), and zero
+  // Buckets are contiguous runs of one cell: order each by sender and zero
   // its cursor for the next gather.
-  const auto by_sender = [](const RetractRecord& a, const RetractRecord& b) {
-    return a.sender < b.sender;
-  };
   std::size_t begin = 0;
-  for (const std::uint64_t cell : cells_) {
+  while (begin < total) {
+    const std::size_t cell = cell_of(out[begin]);
     const std::size_t end = cursor_[cell];
     cursor_[cell] = 0;
-    std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
-                     out.begin() + static_cast<std::ptrdiff_t>(end), by_sender);
+    order_bucket(out.data() + begin, out.data() + end);
     begin = end;
   }
+}
+
+void RetractDrainOrder::order_bucket(RetractRecord* first,
+                                     RetractRecord* last) {
+  const auto n = static_cast<std::size_t>(last - first);
+  if (n <= kInsertionMax) {
+    // Stable: a record only moves past strictly larger senders.
+    for (RetractRecord* i = first + 1; i < last; ++i) {
+      const RetractRecord r = *i;
+      RetractRecord* j = i;
+      for (; j > first && (j - 1)->sender > r.sender; --j) *j = *(j - 1);
+      *j = r;
+    }
+    return;
+  }
+  // Arrival breaks sender ties, so an unstable sort of the keys is exact.
+  keys_.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys_[i] = std::uint64_t{first[i].sender} << 32 | i;
+  std::sort(keys_.begin(), keys_.end());
+  spill_.assign(first, last);
+  for (std::size_t i = 0; i < n; ++i)
+    first[i] = spill_[static_cast<std::uint32_t>(keys_[i])];
 }
 
 }  // namespace deltav::dv

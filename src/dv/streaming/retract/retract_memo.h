@@ -27,16 +27,22 @@
 // gathered per worker lane during a superstep and drained post-barrier
 // in canonical (dst, col, sender) order, which makes the memo — and the
 // accumulator rewrites it drives — deterministic across schedules and
-// bit-identical across execution tiers.
+// bit-identical across execution tiers. The memo is a memo-routed site's
+// only fold path: its contributions never become messages or atomic
+// folds, and the drain rewrites each touched cell's accumulator from
+// query(), waking the receiver only when the accumulator's bits change.
 //
 // Ordering is a strict total order (value, then raw bits, then sender):
 // the bits tiebreak makes −0.0 vs +0.0 deterministic, the sender
 // tiebreak makes equal values from distinct senders deterministic. NaN
-// ranks strictly worst; a NaN contribution that has been evicted loses
-// its fold-poisoning effect until the next refold (the eligibility
-// analysis only routes payload shapes our generators keep NaN-free).
+// ranks strictly worst, so query() yields NaN only when every buffered
+// entry is one. A NaN payload is recorded and also delivered as a
+// message, as the atomic path's NaN fallback always did, so it still
+// poisons the receiver's fold until a record changes the cell
+// (DESIGN.md §11).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -69,6 +75,7 @@ struct RetractRecord {
 /// neighbouring lanes do not false-share.
 struct alignas(64) RetractLane {
   std::vector<RetractRecord> records;
+  std::uint64_t folds = 0;  // contributions (not removals) recorded
 
   void record(graph::VertexId dst, std::uint32_t sender, int col,
               std::uint64_t bits) {
@@ -82,13 +89,21 @@ static_assert(alignof(RetractLane) == 64 && sizeof(RetractLane) % 64 == 0,
 /// canonical order: ascending (dst, col) cell, then (sender, arrival)
 /// within a cell, where arrival is lane-major. That is the order a stable
 /// sort of the concatenated lanes by (dst, col, sender) gives, but the
-/// whole list is never sorted: records are bucketed by cell through a
-/// per-cell counter, only the distinct cells are sorted, and each cell's
-/// bucket is stable-sorted by sender. Every counter is back at
-/// zero when gather returns, so a gather costs O(records + d log d) for
-/// d distinct cells, independent of |V|.
+/// list is never sorted: records are counted per cell, each cell's first
+/// record marks it in a two-level bitmap (one bit per cell, one summary
+/// bit per bitmap word, as for_each_marked walks the fold frontier), the
+/// bitmap walk turns the counts into bucket starts in cell order, the
+/// records scatter into their buckets, and each bucket — one receiver's
+/// in-neighbors, usually a handful — is insertion-sorted by sender.
+/// Buckets above kInsertionMax records are ordered by a sort of (sender,
+/// arrival) keys instead, so a hub cannot go quadratic. Counters and
+/// bitmaps are back at zero when gather returns and the buffers keep their
+/// capacity, so a steady-state gather allocates nothing and costs
+/// O(records + cells / 4096).
 class RetractDrainOrder {
  public:
+  static constexpr std::size_t kInsertionMax = 32;
+
   /// Moves every lane's records into `out` (cleared first) in canonical
   /// order and empties the lanes. `columns` is the memo table's column
   /// count; `cells` its cell count (vertices × columns).
@@ -96,10 +111,16 @@ class RetractDrainOrder {
               std::size_t cells, std::vector<RetractRecord>& out);
 
  private:
+  void order_bucket(RetractRecord* first, RetractRecord* last);
+
   // Per cell: 0 between gathers; a record count, then a bucket cursor,
   // during one.
   std::vector<std::uint32_t> cursor_;
-  std::vector<std::uint64_t> cells_;  // distinct cells of this gather
+  std::vector<std::uint64_t> words_;    // bit per cell with a record
+  std::vector<std::uint64_t> summary_;  // bit per nonzero words_ entry
+  // Large-bucket scratch: (sender << 32 | arrival) keys and the records.
+  std::vector<std::uint64_t> keys_;
+  std::vector<RetractRecord> spill_;
 };
 
 /// The memo table: k-entry tournament buffers for every (vertex, routed
@@ -142,8 +163,8 @@ struct RetractMemoTable {
 
   enum class Applied : std::uint8_t {
     kUntouched,  // no behavioral change (duplicate, or stays outside)
-    kImproved,   // entry inserted or strengthened — normal folds cover it
-    kWorsened,   // entry removed or weakened — accumulator may need to rise
+    kImproved,   // entry inserted or strengthened — extremum may fall
+    kWorsened,   // entry removed or weakened — extremum may rise
   };
 
   /// Applies one record (sender's new total; identity = removal).
@@ -175,10 +196,11 @@ struct MemoColumn {
   std::uint64_t identity = 0;
 };
 
-/// The memo's counterpart of FoldRouter: the runner's sinks, which every
-/// tier sends through, ask here before the fold path, so only they write
-/// records. A min/max Δ is the sender's new total, so the payload's bits
-/// are the record, and identity bits are the sender's removal.
+/// The memo's counterpart of FoldRouter, and a memo-routed site's only
+/// fold path: the runner's sinks, which every tier sends through, hand
+/// such a site's sends here instead of to FoldRouter or the engine. A
+/// min/max Δ is the sender's new total, so the payload's bits are the
+/// record, and identity bits are the sender's removal.
 struct MemoRecorder {
   RetractMemoTable* table = nullptr;  // null: nothing is memoized
   RetractLane* lane = nullptr;        // the caller's worker lane
@@ -191,16 +213,21 @@ struct MemoRecorder {
     return {col, table->types[c], table->identity[c]};
   }
 
-  /// Writes one record per destination when `msg`'s site, whose column is
-  /// `mc`, is memo-routed. Returns true when the payload is the column's
-  /// identity: a removal record only, which the caller must not deliver.
+  /// Writes one record per destination of `msg`, whose memo-routed site
+  /// has column `mc`, and counts every non-removal record as one fold.
+  /// Returns true when the memo has taken the whole send; false for a NaN
+  /// payload, which the caller also delivers as a message (the memo ranks
+  /// NaN worst, so only the message fold carries its poisoning).
   bool record(const MemoColumn& mc, std::span<const graph::VertexId> dsts,
               graph::VertexId sender, const DvMessage& msg) {
-    if (mc.col < 0) return false;
     const std::uint64_t bits = atomic_fold_bits(mc.type, msg.payload);
     for (const graph::VertexId dst : dsts)
       lane->record(dst, static_cast<std::uint32_t>(sender), mc.col, bits);
-    return bits == mc.identity;
+    if (bits == mc.identity) return true;
+    if (mc.type == Type::kFloat && std::isnan(msg.payload.as_f()))
+      return false;
+    lane->folds += dsts.size();
+    return true;
   }
 };
 

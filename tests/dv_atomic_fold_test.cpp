@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -384,6 +385,84 @@ TEST(AtomicFold, StreamingEpochsFoldAtomically) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t v = 0; v < a.size(); ++v)
     EXPECT_EQ(a[v], b[v]) << "vertex " << v;
+}
+
+TEST(AtomicFold, OneVertexGrowthEpochsMatchAColdRunOnEveryTier) {
+  // One-vertex growth batches on a CC session: the first outgrows the
+  // fold table's rows and the lanes' bitmap words (128 vertices fill both
+  // exactly) and joins the giant component; the next two land in the
+  // spare capacity it made and form a component of their own, labelled
+  // 129, so a new row left at anything but the identity shows. Each epoch
+  // must stay warm on the atomic path and equal a cold run on the grown
+  // graph bit for bit.
+  graph::RmatOptions ro;
+  ro.directed = false;
+  const auto base = graph::rmat(128, 512, 7, ro);
+  const auto cp = compile_dv(dv::programs::kConnectedComponents);
+  for (const dv::ExecTier tier : runnable_tiers()) {
+    SCOPED_TRACE(dv::exec_tier_name(tier));
+    dv::streaming::SessionOptions so;
+    so.run.engine = small_engine(3);
+    so.run.tier = tier;
+    dv::streaming::DvStreamSession s(cp, base, so);
+    s.converge();
+    ASSERT_TRUE(s.atomic_path());
+    for (graph::VertexId v = 128; v < 131; ++v) {
+      SCOPED_TRACE("adds vertex " + std::to_string(v));
+      graph::MutationBatch mb;
+      mb.add_vertices = 1;
+      if (v == 128) mb.insert_edge(v, 5);
+      if (v == 130) mb.insert_edge(v, 129);
+      const auto ep = s.apply(mb);
+      ASSERT_TRUE(ep.warm) << (ep.blocker ? ep.blocker : "?");
+      EXPECT_TRUE(ep.stats.atomic_path);
+      EXPECT_EQ(ep.stats.messages, 0u);
+      dv::DvRunOptions o;
+      o.engine = small_engine(3);
+      o.tier = tier;
+      const auto cold = dv::run_program(cp, s.graph().materialize(), o);
+      EXPECT_EQ(s.result().field_as_int("comp"), cold.field_as_int("comp"));
+    }
+    EXPECT_EQ(s.result().field_as_int("comp")[130], 129);
+  }
+}
+
+TEST(AtomicFold, GrowthAppendsRowsWithoutRebuildingTheTable) {
+  // Growth identity-fills only the new rows and keeps a geometric
+  // capacity: growing by one past the allocation doubles it, and the
+  // next one-vertex growth reuses the spare rows in place.
+  dv::AtomicFoldTable table;
+  table.ops = {dv::AggOp::kMin, dv::AggOp::kSum};
+  table.types = {dv::Type::kInt, dv::Type::kInt};
+  table.identity = {dv::atomic_fold_bits(dv::Type::kInt,
+                                         Value::of_int(INT64_MAX)),
+                    0};
+  table.reset(100);
+  table.fold(99, 0, Value::of_int(7));
+  table.grow(101);
+  EXPECT_EQ(table.num_vertices, 101u);
+  EXPECT_GE(table.slots.size(), 200u * table.columns());
+  const auto* data = table.slots.data();
+  table.grow(102);
+  EXPECT_EQ(table.slots.data(), data) << "one-vertex growth reallocated";
+  EXPECT_EQ(table.take(99, 0).as_i(), 7) << "growth lost a pending fold";
+  for (graph::VertexId v = 100; v < 102; ++v) {
+    EXPECT_EQ(table.take(v, 0).as_i(), INT64_MAX);
+    EXPECT_EQ(table.take(v, 1).as_i(), 0);
+  }
+
+  dv::AtomicFoldLane lane;
+  lane.reset(128, 2);
+  lane.grow(129, 2);
+  EXPECT_GE(lane.words_per_column, 4u);
+  const auto* words = lane.words.data();
+  lane.grow(200, 2);
+  EXPECT_EQ(lane.words.data(), words) << "growth within capacity rebuilt";
+  lane.mark(199, 1);
+  std::vector<std::pair<int, graph::VertexId>> got;
+  dv::for_each_marked(std::span<dv::AtomicFoldLane>(&lane, 1),
+                      [&](int c, graph::VertexId v) { got.push_back({c, v}); });
+  EXPECT_EQ(got, (std::vector<std::pair<int, graph::VertexId>>{{1, 199}}));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,55 @@ TEST(RetractMemo, DuplicateRecordIsUntouched) {
   EXPECT_EQ(t.apply(0, 0, 2, t.identity[0]),
             RetractMemoTable::Applied::kUntouched);  // absent sender
   EXPECT_EQ(acc_of(t, 0), 1.5);
+}
+
+// ------------------------------------------------------ canonical drain order
+
+TEST(RetractDrainOrder, GatherEqualsStableSortOfLaneMajorRecords) {
+  // Random records over 1-4 lanes, with few enough (dst, col, sender)
+  // values that triples repeat, and some trials with so few cells that
+  // buckets outgrow the insertion sort. One RetractDrainOrder serves every
+  // trial: each gather must start from a clean slate.
+  std::mt19937_64 rng(29);
+  dv::RetractDrainOrder order;
+  std::vector<dv::RetractRecord> out;
+  const auto by_cell_sender = [](const dv::RetractRecord& a,
+                                 const dv::RetractRecord& b) {
+    if (a.dst != b.dst) return a.dst < b.dst;
+    if (a.col != b.col) return a.col < b.col;
+    return a.sender < b.sender;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t lanes_n = 1 + rng() % 4;
+    const std::size_t columns = 1 + rng() % 3;
+    const std::size_t vertices = trial % 4 == 0 ? 2 : 1 + rng() % 5000;
+    const std::size_t senders = 1 + rng() % 50;
+    const std::size_t records = rng() % (trial % 4 == 0 ? 400 : 120);
+    std::vector<dv::RetractLane> lanes(lanes_n);
+    std::vector<dv::RetractRecord> want;
+    for (std::size_t i = 0; i < records; ++i) {
+      dv::RetractLane& lane = lanes[rng() % lanes_n];
+      lane.record(static_cast<graph::VertexId>(rng() % vertices),
+                  static_cast<std::uint32_t>(rng() % senders),
+                  static_cast<int>(rng() % columns), rng());
+    }
+    for (const dv::RetractLane& lane : lanes)
+      want.insert(want.end(), lane.records.begin(), lane.records.end());
+    std::stable_sort(want.begin(), want.end(), by_cell_sender);
+    order.gather(lanes, columns, vertices * columns, out);
+    ASSERT_EQ(out.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(out[i].dst, want[i].dst) << "record " << i;
+      EXPECT_EQ(out[i].col, want[i].col) << "record " << i;
+      EXPECT_EQ(out[i].sender, want[i].sender) << "record " << i;
+      EXPECT_EQ(out[i].bits, want[i].bits) << "record " << i;
+    }
+    for (const dv::RetractLane& lane : lanes) EXPECT_TRUE(lane.records.empty());
+    // An empty gather leaves `out` empty, whatever it held.
+    order.gather(lanes, columns, vertices * columns, out);
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 // ------------------------------------------------------- session helpers
@@ -377,12 +428,128 @@ TEST(RetractStream, MemoCountersAgreeAcrossTiers) {
       if (want.empty()) want = got;
       EXPECT_EQ(got, want);
     }
-    // The stream retracts, underflows and refolds, and sends through the
-    // path under test.
+    // The stream retracts, underflows and refolds. On either fold path
+    // the memo is the site's only fold path: its contributions count as
+    // folds, and none becomes a Δ-message.
     EXPECT_GT(want[0], 0u);
     EXPECT_GT(want[1], 0u);
     EXPECT_GT(want[2], 0u);
-    EXPECT_GT(fold == dv::FoldPath::kAuto ? want[3] : want[5], 0u);
+    EXPECT_GT(want[3], 0u);
+    EXPECT_EQ(want[5], 0u);
+  }
+}
+
+TEST(RetractStream, MemoSitesSendNoMessagesOnEitherFoldPath) {
+  // kSsspRetract's one site is memo-routed. On both fold paths and every
+  // tier its sends must stay out of the engine — in the cold converge and
+  // in every epoch — and count the same lock-free folds.
+  const auto cp = compile_dv(dv::programs::kSsspRetract);
+  const std::map<std::string, dv::Value> params = {
+      {"source", dv::Value::of_int(0)}};
+  std::vector<std::uint64_t> want;
+  for (const dv::FoldPath fold :
+       {dv::FoldPath::kAuto, dv::FoldPath::kBuffered}) {
+    for (const dv::ExecTier tier : runnable_tiers()) {
+      SCOPED_TRACE(std::string(dv::fold_path_name(fold)) + "/" +
+                   dv::exec_tier_name(tier));
+      obs::Collector col;
+      SessionOptions o = opts(/*memo_k=*/1, tier);
+      o.run.params = params;
+      o.run.fold_path = fold;
+      o.run.collector = &col;
+      DvStreamSession s(cp, cut_dag(), o);
+      s.converge();
+      ASSERT_TRUE(s.memo_path());
+      std::vector<std::uint64_t> folds = {s.result().atomic_folds};
+      for (const MutationBatch& b : cut_stream()) {
+        const SessionEpoch ep = s.apply(b);
+        ASSERT_TRUE(ep.warm) << "blocked: " << (ep.blocker ? ep.blocker : "?");
+        EXPECT_EQ(ep.stats.messages, 0u);
+        folds.push_back(ep.stats.atomic_folds);
+      }
+      EXPECT_EQ(s.result().stats.total_messages_sent(), 0u);
+      const auto snap = col.metrics.snapshot();
+      EXPECT_EQ(snap.counter("dv.delta_messages"), 0u);
+      EXPECT_EQ(snap.counter("dv.atomic_folds"), s.result().atomic_folds);
+      EXPECT_GT(s.result().atomic_folds, 0u);
+      if (want.empty()) want = folds;
+      EXPECT_EQ(folds, want);
+    }
+  }
+}
+
+TEST(RetractStream, NonBestImprovementDoesNotWakeTheReceiver) {
+  // 3 hears 1.0 from the source over 0 -> 3, and later hears vertex 2's
+  // improving but worse offers (11.0, then 3.0). With k = 2 the memo keeps
+  // both entries, so those records change 3's memo cell but not its
+  // accumulator: 3 must not run again. Body supersteps: 1, 2 and 3 all
+  // run on the first; then only vertex 2, which improves from 10.0 to 2.0;
+  // then nobody (that round's fold of 3.0 kept the loop going one more).
+  graph::GraphBuilder b(4, /*directed=*/true);
+  b.keep_weights(true);
+  b.add_edge(0, 1, 1.0);
+  b.add_edge(0, 2, 10.0);
+  b.add_edge(0, 3, 1.0);
+  b.add_edge(1, 2, 1.0);
+  b.add_edge(2, 3, 1.0);
+  const graph::CsrGraph g = b.build();
+  const auto cp = compile_dv(dv::programs::kSsspRetract);
+  for (const dv::FoldPath fold :
+       {dv::FoldPath::kAuto, dv::FoldPath::kBuffered}) {
+    for (const dv::ExecTier tier : runnable_tiers()) {
+      SCOPED_TRACE(std::string(dv::fold_path_name(fold)) + "/" +
+                   dv::exec_tier_name(tier));
+      dv::DvRunOptions o;
+      o.engine = small_engine(1);
+      o.tier = tier;
+      o.fold_path = fold;
+      o.minmax_memo_k = 2;
+      o.params = {{"source", dv::Value::of_int(0)}};
+      const dv::DvRunResult r = dv::run_program(cp, g, o);
+      EXPECT_EQ(r.field_as_double("dist"),
+                (std::vector<double>{0.0, 1.0, 2.0, 1.0}));
+      std::vector<std::uint64_t> active;
+      for (const auto& st : r.stats.supersteps)
+        active.push_back(st.active_vertices);
+      // The init superstep, then the body supersteps.
+      EXPECT_EQ(active, (std::vector<std::uint64_t>{4, 4, 1, 0}));
+    }
+  }
+}
+
+// ----------------------------------------------------------- NaN payloads
+
+TEST(RetractStream, NanPayloadPoisonsTheReceiverOnBothFoldPaths) {
+  // Sender 2 (mass 3) sends NaN, the others their masses. The memo ranks
+  // NaN worst, but a NaN payload still travels as a message, as the
+  // atomic path's NaN fallback always sent it, so the cold result is the
+  // poisoned one on both fold paths. Warm retractions then rewrite the
+  // cell from the memo's extremum, NaN ranked last.
+  const auto cp = compile_dv(R"(
+init { local mass : float = 1.0 + vertexId; local m : float = infty };
+iter i { m = min [ u.mass + 0.0 * (1.0 / (u.mass - 3.0)) | u <- #in ] }
+until { i >= 1 }
+)");
+  for (const dv::FoldPath fold :
+       {dv::FoldPath::kAuto, dv::FoldPath::kBuffered}) {
+    for (const dv::ExecTier tier : runnable_tiers()) {
+      SCOPED_TRACE(std::string(dv::fold_path_name(fold)) + "/" +
+                   dv::exec_tier_name(tier));
+      SessionOptions o = opts(/*memo_k=*/4, tier);
+      o.run.fold_path = fold;
+      DvStreamSession s(cp, fan_graph(), o);
+      s.converge();
+      ASSERT_TRUE(s.memo_path());
+      EXPECT_TRUE(std::isnan(s.result().field_as_double("m")[5]));
+      const std::pair<graph::VertexId, double> steps[] = {
+          {0, 2.0}, {1, 4.0}, {3, 5.0}};
+      for (const auto& [src, want] : steps) {
+        MutationBatch b;
+        b.remove_edge(src, 5);
+        ASSERT_TRUE(s.apply(b).warm);
+        EXPECT_EQ(s.result().field_as_double("m")[5], want);
+      }
+    }
   }
 }
 
